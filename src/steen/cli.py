@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="modules over the mod-2 Steenrod algebra and its subalgebras",
     )
     parser.add_argument("--degree-cap", type=int, help="cap for the full algebra")
-    parser.add_argument("--parallelism", type=int, help="worker count (reserved)")
     parser.add_argument("--output-dir", help="directory for file outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -130,8 +129,6 @@ def _configure(args: argparse.Namespace) -> Config:
     overrides = {}
     if args.degree_cap is not None:
         overrides["degree_cap"] = args.degree_cap
-    if args.parallelism is not None:
-        overrides["parallelism"] = args.parallelism
     if args.output_dir is not None:
         overrides["output_dir"] = args.output_dir
     if getattr(args, "smax", None) is not None:

@@ -18,7 +18,7 @@ __all__ = ["Config", "ENV_PREFIX", "config_problems", "from_env"]
 
 ENV_PREFIX = "STEEN_"
 
-_INT_FIELDS = frozenset({"degree_cap", "s_max", "t_max", "parallelism"})
+_INT_FIELDS = frozenset({"degree_cap", "s_max", "t_max"})
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class Config:
     degree_cap: int = DEGREE_CAP
     s_max: int = S_MAX_LIMIT
     t_max: int = T_MAX_LIMIT
-    parallelism: int = 1
     output_dir: str = "."
     format: str = "text"
 
@@ -70,8 +69,6 @@ def config_problems(cfg: Config) -> list[str]:
             f"t_max {cfg.t_max} exceeds degree_cap {cfg.degree_cap}; "
             "the algebra cap must cover the resolution window"
         )
-    if cfg.parallelism < 1:
-        problems.append(f"parallelism must be at least 1, got {cfg.parallelism}")
     if cfg.format not in ("text", "svg"):
         problems.append(f"format must be 'text' or 'svg', got {cfg.format!r}")
     return problems

@@ -30,8 +30,10 @@ __all__ = [
     "basis_count",
     "coproduct",
     "enumerate_basis",
+    "expansion_positions",
     "full_a",
     "generator_expansion",
+    "generator_matrix",
     "milnor_basis",
     "milnor_primitive",
     "milnor_product",
@@ -578,6 +580,45 @@ def _expansion_table(
             )
         table[m] = tuple(spanning[i] for i in bits(combo))
     return table
+
+
+@lru_cache(maxsize=None)
+def expansion_positions(
+    algebra: Algebra, d: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The expansion table by basis positions.
+
+    Entry i lists the (e, i') with Sq(x_i) = sum Sq(2^e) Sq(x'_i'), where x_i
+    is the i-th monomial of enumerate_basis(algebra, d) and x'_i' the i'-th
+    of enumerate_basis(algebra, d - 2^e).  Positive degrees only.
+    """
+    table = _expansion_table(algebra, d)
+    index: dict[int, dict[Monomial, int]] = {}
+    for e in algebra.generator_exponents(d):
+        lower = enumerate_basis(algebra, d - (1 << e))
+        index[e] = {m: i for i, m in enumerate(lower)}
+    return tuple(
+        tuple((e, index[e][m2]) for e, m2 in table[m])
+        for m in enumerate_basis(algebra, d)
+    )
+
+
+@lru_cache(maxsize=None)
+def generator_matrix(algebra: Algebra, e: int, d: int) -> tuple[int, ...]:
+    """Left multiplication by Sq(2^e) from degree d to degree d + 2^e.
+
+    Column i is Sq(2^e) times the i-th monomial of enumerate_basis(algebra,
+    d), as a bitset over the positions of enumerate_basis(algebra, d + 2^e).
+    """
+    target = enumerate_basis(algebra, d + (1 << e))
+    index = {m: i for i, m in enumerate(target)}
+    columns = []
+    for m in enumerate_basis(algebra, d):
+        vec = 0
+        for t in _product_monomials(((1 << e),), m):
+            vec ^= 1 << index[t]
+        columns.append(vec)
+    return tuple(columns)
 
 
 def generator_expansion(m: Monomial, algebra: Algebra) -> tuple[tuple[int, Monomial], ...]:

@@ -196,25 +196,52 @@ def serialize_json(M: FiniteModule) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _json_field(payload: dict, key: str, kind: type, what: str):
+    if key not in payload:
+        raise ValueError(f"json: missing key {key!r}")
+    if not isinstance(payload[key], kind):
+        raise ValueError(f"json: {key!r} must be {what}")
+    return payload[key]
+
+
+def _json_ids(value, index: dict[str, int], where: str) -> list[int]:
+    if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
+        raise ValueError(f"json: {where} must be a list of ids")
+    for g in value:
+        if g not in index:
+            raise ValueError(f"json: {where}: unknown id {g!r}")
+    return [index[g] for g in value]
+
+
 def parse_json(text: str) -> FiniteModule:
     payload = json.loads(text)
-    gens = tuple(g for g, _ in payload["gens"])
-    degrees = tuple(int(d) for _, d in payload["gens"])
+    if not isinstance(payload, dict):
+        raise ValueError("json: expected an object")
+    name = _json_field(payload, "module", str, "a string")
+    algebra = _parse_algebra(_json_field(payload, "algebra", str, "a string"), "json")
+    pairs = _json_field(payload, "gens", list, "a list of [id, degree] pairs")
+    for pair in pairs:
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and isinstance(pair[0], str)
+            and type(pair[1]) is int
+        ):
+            raise ValueError(f"json: gens entry {pair!r} is not an [id, degree] pair")
+    gens = tuple(g for g, _ in pairs)
+    degrees = tuple(d for _, d in pairs)
     index = {g: i for i, g in enumerate(gens)}
     tables: dict[int, tuple[int, ...]] = {}
-    for k, rows in payload["sq"].items():
+    for k, rows in _json_field(payload, "sq", dict, "an object").items():
+        if not k.isdecimal() or not isinstance(rows, dict):
+            raise ValueError(f"json: sq entry {k!r} must map ids to lists of ids")
         table = [0] * len(gens)
         for src, targets in rows.items():
-            for t in targets:
-                table[index[src]] ^= 1 << index[t]
+            (i,) = _json_ids([src], index, f"sq {k}")
+            for j in _json_ids(targets, index, f"sq {k} {src}"):
+                table[i] ^= 1 << j
         tables[int(k)] = tuple(table)
-    return FiniteModule(
-        payload["module"],
-        _parse_algebra(payload["algebra"], "json"),
-        gens,
-        degrees,
-        tables,
-    )
+    return FiniteModule(name, algebra, gens, degrees, tables)
 
 
 def save(M: FiniteModule, path: str | Path) -> None:

@@ -1,7 +1,27 @@
-"""Minimal free resolutions, Ext charts, and chart rendering."""
+"""Minimal free resolutions, Ext charts, and chart rendering.
+
+The resolver is generator-driven, as in Bruner, "Calculation of large Ext
+modules" (1993).  Every column of d_s is the image of some Sq(x) g_a, kept as
+a bitset over the block-ordered basis of C_(s-1) in degree t_a + |x|.  The
+unit column is d_s(g_a) itself; for |x| > 0 the expansion
+Sq(x) = sum Sq(2^e) Sq(x') gives
+
+    d_s(Sq(x) g_a) = sum Sq(2^e) d_s(Sq(x') g_a),
+
+so each column is a sum of lower-degree columns pushed through the matrices
+of Sq(2^e), and no general Milnor product is taken.  The columns of d_s found
+while choosing the generators of C_s at (s, t) are exactly the vectors whose
+kernel gives the cycles at (s+1, t), so they are computed once.
+
+Each column is the same element in the same basis as a direct product
+Sq(x) * d_s(g_a) would give, so the kernel combinations, the chosen
+generators and every rendered output are byte for byte those of the
+product-by-product construction.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from steen.gf2 import Echelon, bits, kernel
@@ -10,10 +30,11 @@ from steen.milnor import (
     Element,
     Monomial,
     enumerate_basis,
+    expansion_positions,
     full_a,
+    generator_matrix,
     milnor_product,
     mono_str,
-    sq,
 )
 from steen.module import FiniteModule, restrict
 
@@ -63,10 +84,109 @@ class Resolution:
         return f"<resolution of {self.module.name}, stage sizes [{sizes}]>"
 
 
-def _mono_times(m: Monomial, e: Element, cap: int) -> frozenset[Monomial]:
-    if not m:
-        return e.monomials
-    return milnor_product(sq(*m), e, cap=cap).monomials
+class _FreeModule:
+    """A free module's basis in each degree, and Sq(2^e) acting on it.
+
+    The degree-u basis is in block order: one block per generator j with
+    degree t_j <= u, holding enumerate_basis(algebra, u - t_j).  The
+    generator degrees must be complete and ascending.
+    """
+
+    def __init__(self, algebra: Algebra, degrees: list[int]) -> None:
+        self.algebra = algebra
+        self.degrees = degrees
+        self._offsets: dict[int, list[int]] = {}
+        self._matrices: dict[tuple[int, int], list[int]] = {}
+
+    def offsets(self, u: int) -> list[int]:
+        """Start of each block in degree u, then the total dimension."""
+        hit = self._offsets.get(u)
+        if hit is None:
+            hit = [0]
+            for tj in self.degrees:
+                if tj > u:
+                    break
+                hit.append(hit[-1] + len(enumerate_basis(self.algebra, u - tj)))
+            self._offsets[u] = hit
+        return hit
+
+    def matrix(self, e: int, u: int) -> list[int]:
+        """Columns of Sq(2^e) from degree u to degree u + 2^e."""
+        hit = self._matrices.get((e, u))
+        if hit is None:
+            target = self.offsets(u + (1 << e))
+            hit = []
+            for j, tj in enumerate(self.degrees[: len(self.offsets(u)) - 1]):
+                shift = target[j]
+                hit.extend(
+                    col << shift for col in generator_matrix(self.algebra, e, u - tj)
+                )
+            self._matrices[(e, u)] = hit
+        return hit
+
+    def element(self, u: int, vec: int) -> Entry:
+        """A degree-u bitset as generator index -> algebra element."""
+        offsets = self.offsets(u)
+        terms: dict[int, list[Monomial]] = {}
+        for c in bits(vec):
+            j = bisect_right(offsets, c) - 1
+            basis = enumerate_basis(self.algebra, u - self.degrees[j])
+            terms.setdefault(j, []).append(basis[c - offsets[j]])
+        return {j: Element(monos) for j, monos in terms.items()}
+
+
+class _Differential:
+    """d_s on the free module C_s, memoized column by column.
+
+    The column of Sq(x) g_a is a bitset over the degree t_a + |x| basis of
+    the target C_(s-1).  The unit column is the generator's own value, and
+    every other column is the sum over the expansion Sq(x) = sum Sq(2^e)
+    Sq(x') of Sq(2^e) applied to the lower-degree column of x'.
+    """
+
+    def __init__(self, target: _FreeModule) -> None:
+        self.target = target
+        self.degrees: list[int] = []
+        self._blocks: dict[tuple[int, int], list[int]] = {}
+
+    def add(self, t: int, value: int) -> None:
+        self._blocks[(len(self.degrees), 0)] = [value]
+        self.degrees.append(t)
+
+    def columns(self, t: int) -> list[int]:
+        """Columns of every Sq(x) g_a of degree t, in block order."""
+        out: list[int] = []
+        for a, ta in enumerate(self.degrees):
+            if ta > t:
+                break
+            out.extend(self._block(a, t - ta))
+        return out
+
+    def _block(self, a: int, k: int) -> list[int]:
+        hit = self._blocks.get((a, k))
+        if hit is not None:
+            return hit
+        ta = self.degrees[a]
+        images: dict[tuple[int, int], int] = {}
+        hit = []
+        for terms in expansion_positions(self.target.algebra, k):
+            vec = 0
+            for term in terms:
+                image = images.get(term)
+                if image is None:
+                    e, i = term
+                    low = self._block(a, k - (1 << e))[i]
+                    matrix = self.target.matrix(e, ta + k - (1 << e))
+                    image = 0
+                    while low:
+                        bit = low & -low
+                        image ^= matrix[bit.bit_length() - 1]
+                        low ^= bit
+                    images[term] = image
+                vec ^= image
+            hit.append(vec)
+        self._blocks[(a, k)] = hit
+        return hit
 
 
 def minimal_resolution(
@@ -90,7 +210,6 @@ def minimal_resolution(
         # generators in degree t only depend on lower degrees, so this is
         # exact inside the window
         algebra = full_a(t_max + max(M.top, 0))
-    cap = algebra.cap
 
     res = Resolution(algebra, M, s_max, t_max)
 
@@ -112,65 +231,43 @@ def minimal_resolution(
     res.values = values0
     res.diffs.append([])
 
+    # d_(s-1): its degree-t columns spanned the boundaries at (s-1, t) and
+    # are the vectors whose kernel gives the cycles at (s, t); stage 1 acts
+    # on M instead
+    previous: _Differential | None = None
     for s in range(1, s_max + 1):
         prev = res.degrees[s - 1]
         if not prev:
             res.degrees.append([])
             res.diffs.append([])
             continue
-        degrees_s: list[int] = []
+        target = _FreeModule(algebra, prev)
+        d = _Differential(target)
         diffs_s: list[Entry] = []
         for t in range(min(prev), t_max + 1):
-            cols: list[tuple[int, Monomial]] = []
-            vecs: list[int] = []
-            if s == 1:
-                for j, tj in enumerate(prev):
-                    if tj > t:
-                        continue
-                    for m in enumerate_basis(algebra, t - tj):
-                        cols.append((j, m))
-                        vecs.append(M.act_mono(m, res.values[j]))
+            if previous is None:
+                vecs = [
+                    M.act_mono(m, res.values[j])
+                    for j, tj in enumerate(prev)
+                    if tj <= t
+                    for m in enumerate_basis(algebra, t - tj)
+                ]
             else:
-                older = res.degrees[s - 2]
-                pos: dict[tuple[int, Monomial], int] = {}
-                for j2, tj2 in enumerate(older):
-                    if tj2 > t:
-                        continue
-                    for m in enumerate_basis(algebra, t - tj2):
-                        pos[(j2, m)] = len(pos)
-                for j, tj in enumerate(prev):
-                    if tj > t:
-                        continue
-                    for m in enumerate_basis(algebra, t - tj):
-                        cols.append((j, m))
-                        vec = 0
-                        for j2, e in res.diffs[s - 1][j].items():
-                            for mm in _mono_times(m, e, cap):
-                                vec ^= 1 << pos[(j2, mm)]
-                        vecs.append(vec)
+                vecs = previous.columns(t)
             combos = kernel(vecs)
             if not combos:
                 continue
-            colpos = {c: i for i, c in enumerate(cols)}
             span = Echelon()
-            for a, ta in enumerate(degrees_s):
-                for x in enumerate_basis(algebra, t - ta):
-                    vec = 0
-                    for j, e in diffs_s[a].items():
-                        for mm in _mono_times(x, e, cap):
-                            vec ^= 1 << colpos[(j, mm)]
-                    span.add(vec)
+            for vec in d.columns(t):
+                span.add(vec)
             for combo in combos:
                 residual = span.add(combo)[0]
                 if residual:
-                    entry: Entry = {}
-                    for c in bits(residual):
-                        j, m = cols[c]
-                        entry[j] = entry.get(j, Element()) + Element([m])
-                    degrees_s.append(t)
-                    diffs_s.append(entry)
-        res.degrees.append(degrees_s)
+                    d.add(t, residual)
+                    diffs_s.append(target.element(t, residual))
+        res.degrees.append(d.degrees)
         res.diffs.append(diffs_s)
+        previous = d
     return res
 
 

@@ -4,7 +4,10 @@ Everything here recomputes structure by a different route than the package:
 products through the dual Hopf-algebra pairing, admissible rewriting through
 the Adem relations, the antipode through the conjugate dual generators, and
 Ext groups through the bar resolution.  Plain dict/set polynomial arithmetic
-throughout; no package internals beyond basic GF(2) rank.
+throughout; no package internals beyond basic GF(2) rank.  The exception is
+the reference resolver at the end, which rebuilds minimal resolutions column
+by column from general Milnor products instead of the package's Sq(2^e)
+recurrence.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
 
-from steen.gf2 import rank
+from steen.gf2 import Echelon, bits, kernel, rank
+from steen.milnor import Element, enumerate_basis, full_a, milnor_product, sq
+from steen.module import restrict
+from steen.resolution import Resolution
 
 Mono = tuple[int, ...]  # exponent tuple of xi_1, xi_2, ..., no trailing zeros
 Poly = frozenset[Mono]
@@ -245,3 +251,125 @@ def oracle_power_basis_count(
         if sum(e * g for e, g in zip(exps, gen_degrees)) == d:
             count += 1
     return count
+
+
+# -- minimal resolutions through general Milnor products ----------------------
+
+
+def _mono_times(m, e, cap):
+    if not m:
+        return e.monomials
+    return milnor_product(sq(*m), e, cap=cap).monomials
+
+
+def reference_resolution(algebra, M, s_max, t_max):
+    """Minimal resolution with every column an explicit product Sq(m) * d(g).
+
+    Same generator choices as the package's resolver: columns come in the
+    same block order and go through the same kernel/echelon steps.
+    """
+    if algebra.n is not None and M.algebra.n is None:
+        M = restrict(M, algebra)
+    if algebra.n is None:
+        algebra = full_a(t_max + max(M.top, 0))
+    cap = algebra.cap
+    res = Resolution(algebra, M, s_max, t_max)
+
+    degrees0, values0 = [], []
+    for t in sorted({d for d in M.degrees if d <= t_max}):
+        image = Echelon()
+        for lower in sorted({d for d in M.degrees if d < t}):
+            for m in enumerate_basis(algebra, t - lower):
+                for i in range(M.dim):
+                    if M.degrees[i] == lower:
+                        image.add(M.act_mono(m, 1 << i))
+        for i in range(M.dim):
+            if M.degrees[i] == t and image.add(1 << i)[0]:
+                degrees0.append(t)
+                values0.append(1 << i)
+    res.degrees.append(degrees0)
+    res.values = values0
+    res.diffs.append([])
+
+    for s in range(1, s_max + 1):
+        prev = res.degrees[s - 1]
+        degrees_s, diffs_s = [], []
+        for t in range(min(prev, default=t_max + 1), t_max + 1):
+            cols, vecs = [], []
+            if s == 1:
+                for j, tj in enumerate(prev):
+                    if tj > t:
+                        continue
+                    for m in enumerate_basis(algebra, t - tj):
+                        cols.append((j, m))
+                        vecs.append(M.act_mono(m, res.values[j]))
+            else:
+                pos = {}
+                for j2, tj2 in enumerate(res.degrees[s - 2]):
+                    if tj2 > t:
+                        continue
+                    for m in enumerate_basis(algebra, t - tj2):
+                        pos[(j2, m)] = len(pos)
+                for j, tj in enumerate(prev):
+                    if tj > t:
+                        continue
+                    for m in enumerate_basis(algebra, t - tj):
+                        cols.append((j, m))
+                        vec = 0
+                        for j2, e in res.diffs[s - 1][j].items():
+                            for mm in _mono_times(m, e, cap):
+                                vec ^= 1 << pos[(j2, mm)]
+                        vecs.append(vec)
+            combos = kernel(vecs)
+            if not combos:
+                continue
+            colpos = {c: i for i, c in enumerate(cols)}
+            span = Echelon()
+            for a, ta in enumerate(degrees_s):
+                for x in enumerate_basis(algebra, t - ta):
+                    vec = 0
+                    for j, e in diffs_s[a].items():
+                        for mm in _mono_times(x, e, cap):
+                            vec ^= 1 << colpos[(j, mm)]
+                    span.add(vec)
+            for combo in combos:
+                residual = span.add(combo)[0]
+                if residual:
+                    entry = {}
+                    for c in bits(residual):
+                        j, m = cols[c]
+                        entry[j] = entry.get(j, Element()) + Element([m])
+                    degrees_s.append(t)
+                    diffs_s.append(entry)
+        res.degrees.append(degrees_s)
+        res.diffs.append(diffs_s)
+    return res
+
+
+def free_basis(R, s, t):
+    """(generator, monomial) pairs spanning stage s of R in degree t."""
+    return [
+        (j, m)
+        for j, tj in enumerate(R.degrees[s])
+        if tj <= t
+        for m in enumerate_basis(R.algebra, t - tj)
+    ]
+
+
+def differential_rank(R, s, t):
+    """Rank of d_s in degree t, from general Milnor products; d_0 is onto M."""
+    if s >= len(R.degrees):
+        return 0
+    rows = []
+    if s == 0:
+        for j, m in free_basis(R, 0, t):
+            rows.append(R.module.act(sq(*m), R.values[j]))
+        return rank(rows)
+    pos = {c: i for i, c in enumerate(free_basis(R, s - 1, t))}
+    for a, m in free_basis(R, s, t):
+        vec = 0
+        for j, e in R.diffs[s][a].items():
+            for mm in milnor_product(sq(*m), e, cap=R.algebra.cap).monomials:
+                vec ^= 1 << pos[(j, mm)]
+        rows.append(vec)
+    return rank(rows)

@@ -66,6 +66,30 @@ def test_validate_parse_error(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('{"name": 3}', "missing key 'module'"),
+        ('[1, 2]', "expected an object"),
+        ('{"module": 3, "algebra": "A(1)", "gens": [], "sq": {}}', "'module' must be"),
+        ('{"module": "m", "algebra": "A(1)", "gens": [["a", "0"]], "sq": {}}', "gens entry"),
+        ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"1": {"b": []}}}',
+         "unknown id 'b'"),
+        ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"x": {}}}',
+         "sq entry 'x'"),
+        ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"1": {"a": "a"}}}',
+         "list of ids"),
+    ],
+)
+def test_validate_malformed_json_is_a_usage_error(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_dual_and_double_and_tensor(capsys):
     assert main(["dual", "joker"]) == 0
     assert "module D(joker)" in capsys.readouterr().out
@@ -224,12 +248,8 @@ def test_missing_subcommand_is_a_usage_error():
 
 def test_config_env_overrides_and_guards(monkeypatch):
     monkeypatch.setenv("STEEN_FORMAT", "svg")
-    monkeypatch.setenv("STEEN_PARALLELISM", "2")
     cfg = from_env()
-    assert cfg.format == "svg" and cfg.parallelism == 2
+    assert cfg.format == "svg"
     assert config_problems(cfg) == []
-    assert config_problems(Config(parallelism=0)) == [
-        "parallelism must be at least 1, got 0"
-    ]
     assert any("format" in p for p in config_problems(Config(format="png")))
     assert any("degree_cap" in p for p in config_problems(Config(degree_cap=0)))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import oracle_ext_a1
+from functools import lru_cache
+
+from oracles import differential_rank, free_basis, oracle_ext_a1, reference_resolution
 from steen.catalogue import get_module
 from steen.milnor import an, full_a
 from steen.module import FiniteModule, trivial_module
@@ -221,3 +223,46 @@ def test_minimality_no_unit_entries():
         for entry in R.diffs[s]:
             for e in entry.values():
                 assert () not in e.monomials
+
+
+# (algebra, module, s_max, t_max) for the oracle and exactness checks
+CASES = {
+    "A(1) joker": (an(1), "joker", 6, 20),
+    "A(1) sphere": (an(1), None, 8, 24),
+    "A(2) joker(2)": (an(2), "joker(2)", 6, 24),
+    "A(3) joker(3)": (an(3), "joker(3)", 5, 28),
+    "A sphere": (full_a(32), None, 12, 32),
+    "A joker0": (full_a(24), "joker0", 6, 24),
+}
+
+
+def _module(algebra, name):
+    return sphere(algebra) if name is None else get_module(name)
+
+
+@lru_cache(maxsize=None)
+def _resolved(case):
+    algebra, name, s_max, t_max = CASES[case]
+    return minimal_resolution(algebra, _module(algebra, name), s_max, t_max)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_resolver_matches_product_route(case):
+    algebra, name, s_max, t_max = CASES[case]
+    R = _resolved(case)
+    ref = reference_resolution(algebra, _module(algebra, name), s_max, t_max)
+    assert R.degrees == ref.degrees
+    assert R.values == ref.values
+    assert R.diffs == ref.diffs
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_resolution_is_exact(case):
+    R = _resolved(case)
+    for t in range(R.t_max + 1):
+        dim_m = sum(1 for d in R.module.degrees if d == t)
+        assert differential_rank(R, 0, t) == dim_m, f"epsilon not onto in degree {t}"
+        ranks = [differential_rank(R, s, t) for s in range(R.s_max + 1)]
+        for s in range(R.s_max):
+            dim = len(free_basis(R, s, t))
+            assert dim == ranks[s] + ranks[s + 1], (s, t)
