@@ -14,7 +14,6 @@ from functools import lru_cache
 from steen.milnor import Algebra, an, antipode, full_a, sq
 from steen.module import (
     FiniteModule,
-    complete_tables,
     cyclic_quotient,
     double,
     dualize,
@@ -135,18 +134,18 @@ def hand_table(name: str) -> FiniteModule | None:
     construction is the only source (doubles beyond n = 3, duals, tensors)."""
     spine5 = ("x0", "x1", "x2", "x3", "x4")
     if name in ("joker", "w2"):
-        return complete_tables(
+        return FiniteModule(
             name, an(1), spine5, (0, 1, 2, 3, 4), {1: _JOKER_SQ1, 2: _JOKER_SQ2}
         )
     if name in ("joker0", "joker1"):
         tables: dict[int, tuple[int, ...]] = {1: _JOKER_SQ1, 2: _JOKER_SQ2}
         if name == "joker1":
             tables[4] = (16, 0, 0, 0, 0)
-        return complete_tables(name, full_a(), spine5, (0, 1, 2, 3, 4), tables)
+        return FiniteModule(name, full_a(), spine5, (0, 1, 2, 3, 4), tables)
     if name in ("joker(2)", "joker(3)"):
         n = int(name[6:-1])
         deg = 1 << (n - 1)
-        return complete_tables(
+        return FiniteModule(
             name,
             an(n),
             spine5,
@@ -159,7 +158,7 @@ def hand_table(name: str) -> FiniteModule | None:
         tables = _doubled_joker_tables(n - 1)
         if name.endswith("1"):
             tables[4 << (n - 1)] = (16, 0, 0, 0, 0)
-        return complete_tables(
+        return FiniteModule(
             name, full_a(), spine5, tuple(deg * d for d in range(5)), tables
         )
     if name in ("jokerP", "jokerP1"):
@@ -170,11 +169,11 @@ def hand_table(name: str) -> FiniteModule | None:
         if name == "jokerP1":
             tables[4] = (32, 0, 0, 0, 0, 0)
         algebra = an(1) if name == "jokerP" else full_a()
-        return complete_tables(name, algebra, gens, (0, 1, 2, 3, 3, 4), tables)
+        return FiniteModule(name, algebra, gens, (0, 1, 2, 3, 3, 4), tables)
     if name == "jokerPP1":
         # whisker at degree 1 feeding Sq^1 into the spine at degree 2
         gens = ("x0", "x1", "y1", "x2", "x3", "x4")
-        return complete_tables(
+        return FiniteModule(
             name,
             an(1),
             gens,
@@ -184,7 +183,7 @@ def hand_table(name: str) -> FiniteModule | None:
     if name == "joker2P1":
         # doubled whiskered joker: whisker at degree 6 fed by Sq^2 from 4
         gens = ("x0", "x2", "x4", "x6", "y6", "x8")
-        return complete_tables(
+        return FiniteModule(
             name,
             an(2),
             gens,
@@ -194,7 +193,7 @@ def hand_table(name: str) -> FiniteModule | None:
     if name == "joker2PP1":
         # doubled version of the degree-1 whisker picture
         gens = ("x0", "x2", "y2", "x4", "x6", "x8")
-        return complete_tables(
+        return FiniteModule(
             name,
             an(2),
             gens,
@@ -202,21 +201,21 @@ def hand_table(name: str) -> FiniteModule | None:
             {2: (2, 0, 8, 0, 32, 0), 4: (8, 16, 0, 32, 0, 0)},
         )
     if name == "w0":
-        return complete_tables(name, an(1), ("x0",), (0,), {})
+        return FiniteModule(name, an(1), ("x0",), (0,), {})
     if name == "w1":
         # the question mark: Sq^1 at the bottom, Sq^2 above it
-        return complete_tables(
+        return FiniteModule(
             name, an(1), ("x0", "x1", "x3"), (0, 1, 3), {1: (2, 0, 0), 2: (0, 4, 0)}
         )
     if name == "w4":
         # the reversed question mark: Sq^2 at the bottom, Sq^1 above it
-        return complete_tables(
+        return FiniteModule(
             name, an(1), ("x0", "x2", "x3"), (0, 2, 3), {1: (0, 4, 0), 2: (2, 0, 0)}
         )
     if name == "a1":
         # left multiplication on the Milnor basis of A(1), computed by hand
         gens = ("x0", "x1", "x2", "x3", "x3a", "x4", "x5", "x6")
-        return complete_tables(
+        return FiniteModule(
             name,
             an(1),
             gens,

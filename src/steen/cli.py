@@ -9,7 +9,6 @@ or precondition errors.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,8 +16,8 @@ from typing import Sequence
 
 from steen.catalogue import MODULE_NAMES, get_module
 from steen.config import Config, config_problems, from_env
-from steen.milnor import Algebra, an, full_a
-from steen.modfile import load, serialize
+from steen.milnor import Algebra, full_a
+from steen.modfile import load, parse_algebra, serialize
 from steen.module import FiniteModule, double, dualize, shift, tensor
 from steen.obstruction import format_report, obstruction_report, report_lines
 from steen.resolution import ext_chart, emit_chart, dump_resolution, minimal_resolution
@@ -30,15 +29,6 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     """Bad arguments or unusable inputs; maps to exit code 2."""
-
-
-def _parse_algebra(token: str, degree_cap: int) -> Algebra:
-    if token == "A":
-        return full_a(degree_cap)
-    hit = re.fullmatch(r"A\((\d+)\)", token)
-    if hit:
-        return an(int(hit.group(1)))
-    raise UsageError(f"unknown algebra {token!r}; use A or A(n)")
 
 
 def _load_module(token: str):
@@ -63,7 +53,7 @@ def _finite(token: str) -> FiniteModule:
 
 def _resolution_algebra(spec: str | None, M: FiniteModule, cfg: Config) -> Algebra:
     if spec is not None:
-        return _parse_algebra(spec, cfg.degree_cap)
+        return parse_algebra(spec, "--algebra", cfg.degree_cap)
     if M.algebra.n is None:
         return full_a(cfg.degree_cap)
     return M.algebra

@@ -1,4 +1,4 @@
-"""The dual Hopf algebra F_2[xi_1, xi_2, ...]: conjugates, coproduct, rendering.
+"""The dual Hopf algebra F_2[xi_1, xi_2, ...]: conjugates and basis conversion.
 
 Monomials reuse the exponent-tuple shape of the Milnor basis: the tuple
 (e1,...,el) is xi_1^e1 ... xi_l^el, dual to Sq(e1,...,el).  Polynomials are
@@ -12,17 +12,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from steen.milnor import Monomial, mono_degree, normalize
+from steen.milnor import Monomial, normalize
 
 __all__ = [
     "Poly",
-    "dual_coproduct",
     "poly",
     "poly_mul",
     "poly_pow",
-    "poly_str",
     "xi_mono",
-    "xi_str",
     "zeta_in_xi",
     "zeta_substitute",
 ]
@@ -102,39 +99,3 @@ def zeta_substitute(p: Poly) -> Poly:
         for t in _zeta_substitute_mono(m):
             acc ^= {t}
     return frozenset(acc)
-
-
-@lru_cache(maxsize=None)
-def dual_coproduct(m: Monomial) -> frozenset[tuple[Monomial, Monomial]]:
-    """psi(xi^m), multiplicatively from psi(xi_n) = sum xi_{n-i}^{2^i} (x) xi_i."""
-    acc: frozenset[tuple[Monomial, Monomial]] = frozenset({((), ())})
-    for slot, e in enumerate(normalize(m), start=1):
-        letter = frozenset(
-            (xi_mono(slot - i, 1 << i), xi_mono(i)) for i in range(slot + 1)
-        )
-        for _ in range(e):
-            nxt: set[tuple[Monomial, Monomial]] = set()
-            for l1, r1 in acc:
-                for l2, r2 in letter:
-                    nxt ^= {(_mono_mul(l1, l2), _mono_mul(r1, r2))}
-            acc = frozenset(nxt)
-    return acc
-
-
-def xi_str(m: Monomial, letter: str = "xi") -> str:
-    """Render a dual monomial, e.g. xi_str((3,1)) = 'xi1^3 xi2'."""
-    if not m:
-        return "1"
-    parts = []
-    for slot, e in enumerate(m, start=1):
-        if e == 1:
-            parts.append(f"{letter}{slot}")
-        elif e > 1:
-            parts.append(f"{letter}{slot}^{e}")
-    return " ".join(parts)
-
-
-def poly_str(p: Poly, letter: str = "xi") -> str:
-    if not p:
-        return "0"
-    return " + ".join(xi_str(m, letter) for m in sorted(p, key=lambda m: (mono_degree(m), m)))

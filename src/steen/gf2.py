@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-__all__ = ["Echelon", "bits", "kernel", "rank", "solve"]
+__all__ = ["Echelon", "bits", "kernel", "rank"]
 
 
 def bits(x: int) -> Iterator[int]:
@@ -97,12 +97,3 @@ def kernel(rows: Sequence[int]) -> list[int]:
         if residual == 0:
             out.append(combo)
     return out
-
-
-def solve(rows: Sequence[int], target: int) -> int | None:
-    """A combo c with XOR of rows[i] over bits i of c equal to target, or None."""
-    ech = Echelon()
-    for i, row in enumerate(rows):
-        ech.add(row, 1 << i)
-    residual, combo = ech.reduce(target)
-    return combo if residual == 0 else None

@@ -43,7 +43,6 @@ __all__ = [
     "sq_word",
     "to_admissible",
     "unit",
-    "verschiebung",
     "verschiebung_monomial",
 ]
 
@@ -539,16 +538,6 @@ def verschiebung_monomial(k: int, m: Monomial) -> Monomial | None:
     if any(r & mask for r in m):
         return None
     return normalize(r >> k for r in m)
-
-
-def verschiebung(k: int, a: Element) -> Element:
-    """The k-fold Verschiebung, an algebra endomorphism halving k times."""
-    acc: set[Monomial] = set()
-    for m in a.monomials:
-        vm = verschiebung_monomial(k, m)
-        if vm is not None:
-            _toggle(acc, vm)
-    return Element.from_set(frozenset(acc))
 
 
 # -- expansion over the generators Sq(2^e) ------------------------------------

@@ -6,10 +6,13 @@ The text format is line-based:
     gen <id> <degree>
     sq <k> <id> = <id> [+ <id>]*
 
-Blank lines and lines starting with '#' are ignored.  Omitted sq lines mean
-the action is zero; serialization writes gens in basis order and sq lines
-with k ascending, sources in basis order, nonzero rows only, so files
-round-trip byte for byte.  Polynomial modules for the unstable layer use
+Blank lines and lines starting with '#' are ignored.  The sq lines for
+k = 2^e define the module, and omitted ones mean the action is zero.  Lines
+for composite k are optional claims: absent ones are derived from the
+generators, present ones are checked by validate.  Serialization writes gens
+in basis order and every nonzero sq line, composites included, with k
+ascending, sources in basis order, so files round-trip byte for byte.
+Polynomial modules for the unstable layer use
 
     polymodule <name>
     polygen <name> <degree> real | complex
@@ -25,30 +28,34 @@ import re
 from pathlib import Path
 
 from steen.gf2 import bits
-from steen.milnor import Algebra, an, full_a
+from steen.milnor import DEGREE_CAP, Algebra, an, full_a
 from steen.module import FiniteModule
 
 __all__ = [
     "load",
     "parse",
+    "parse_algebra",
     "parse_json",
     "save",
     "serialize",
     "serialize_json",
 ]
 
-_ALGEBRA_RE = re.compile(r"^A(\((\d+)\))?$")
+_ALGEBRA_RE = re.compile(r"A(\((\d+)\))?")
 
 
-def _algebra_token(algebra: Algebra) -> str:
-    return algebra.name
-
-
-def _parse_algebra(token: str, where: str) -> Algebra:
-    match = _ALGEBRA_RE.match(token)
+def parse_algebra(token: str, where: str, cap: int = DEGREE_CAP) -> Algebra:
+    """`A` (the whole algebra, enumerated up to degree cap) or `A(n)`."""
+    match = _ALGEBRA_RE.fullmatch(token)
     if not match:
-        raise ValueError(f"{where}: bad algebra {token!r}")
-    return full_a() if match.group(2) is None else an(int(match.group(2)))
+        raise ValueError(f"{where}: bad algebra {token!r}; use A or A(n)")
+    return full_a(cap) if match.group(2) is None else an(int(match.group(2)))
+
+
+def _integer(token: str, lineno: int, what: str, least: int | None = None) -> int:
+    if re.fullmatch(r"-?\d+", token) and (least is None or int(token) >= least):
+        return int(token)
+    raise ValueError(f"line {lineno}: bad {what} {token!r}")
 
 
 def serialize(M) -> str:
@@ -66,7 +73,7 @@ def serialize(M) -> str:
             )
             lines.append(f"rel {factors}")
         return "\n".join(lines) + "\n"
-    lines = [f"module {M.name} over {_algebra_token(M.algebra)}"]
+    lines = [f"module {M.name} over {M.algebra.name}"]
     for g, d in zip(M.gens, M.degrees):
         lines.append(f"gen {g} {d}")
     for k in sorted(M.tables):
@@ -97,7 +104,7 @@ def _parse_finite(lines: list[tuple[int, list[str]]]) -> FiniteModule:
     if len(head) != 4 or head[0] != "module" or head[2] != "over":
         raise ValueError(f"line {lineno}: expected 'module <name> over <algebra>'")
     name = head[1]
-    algebra = _parse_algebra(head[3], f"line {lineno}")
+    algebra = parse_algebra(head[3], f"line {lineno}")
     gens: list[str] = []
     degrees: list[int] = []
     index: dict[str, int] = {}
@@ -110,14 +117,15 @@ def _parse_finite(lines: list[tuple[int, list[str]]]) -> FiniteModule:
                 raise ValueError(f"line {lineno}: duplicate id {tokens[1]}")
             index[tokens[1]] = len(gens)
             gens.append(tokens[1])
-            degrees.append(int(tokens[2]))
+            degrees.append(_integer(tokens[2], lineno, "degree"))
         elif tokens[0] == "sq":
             if len(tokens) < 5 or tokens[3] != "=":
                 raise ValueError(f"line {lineno}: expected 'sq <k> <id> = <targets>'")
             targets = tokens[4::2]
             if tokens[5::2] != ["+"] * (len(targets) - 1):
                 raise ValueError(f"line {lineno}: targets must be joined with '+'")
-            actions.append((lineno, int(tokens[1]), tokens[2], targets))
+            k = _integer(tokens[1], lineno, "operation", least=1)
+            actions.append((lineno, k, tokens[2], targets))
         else:
             raise ValueError(f"line {lineno}: unknown directive {tokens[0]!r}")
     tables: dict[int, list[int]] = {}
@@ -159,7 +167,7 @@ def _parse_poly(lines: list[tuple[int, list[str]]]):
                 raise ValueError(
                     f"line {lineno}: expected 'polygen <name> <degree> real|complex'"
                 )
-            gens.append((tokens[1], int(tokens[2]), tokens[3]))
+            gens.append((tokens[1], _integer(tokens[2], lineno, "degree"), tokens[3]))
             known.add(tokens[1])
         elif tokens[0] == "rel":
             if len(tokens) < 2:
@@ -182,7 +190,7 @@ def _parse_poly(lines: list[tuple[int, list[str]]]):
 def serialize_json(M: FiniteModule) -> str:
     payload = {
         "module": M.name,
-        "algebra": _algebra_token(M.algebra),
+        "algebra": M.algebra.name,
         "gens": [[g, d] for g, d in zip(M.gens, M.degrees)],
         "sq": {
             str(k): {
@@ -218,7 +226,7 @@ def parse_json(text: str) -> FiniteModule:
     if not isinstance(payload, dict):
         raise ValueError("json: expected an object")
     name = _json_field(payload, "module", str, "a string")
-    algebra = _parse_algebra(_json_field(payload, "algebra", str, "a string"), "json")
+    algebra = parse_algebra(_json_field(payload, "algebra", str, "a string"), "json")
     pairs = _json_field(payload, "gens", list, "a list of [id, degree] pairs")
     for pair in pairs:
         if not (

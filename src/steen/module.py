@@ -1,10 +1,12 @@
 """Finite modules over A(n) or a degree-capped piece of the whole algebra.
 
-A module stores named basis elements with degrees and action tables for the
-single squares Sq^k of its algebra up to the module span.  Actions of
-arbitrary Milnor basis elements are computed by expanding over the generators
-Sq(2^e), so the tables for composite k can always be audited against an
-independent route.  Modules produced by doubling carry a Verschiebung hook
+A module stores named basis elements with degrees and the action tables of
+the generators Sq(2^e) of its algebra; nothing else acts directly.  Every
+other Milnor basis element, composite Sq^k included, acts by expanding over
+the generators, and `tables` lists the nonzero Sq^k tables derived that way.
+Composite tables handed to the constructor (from a module file, or from the
+Wu formula) are claims that `validate` checks against the expansion.
+Modules produced by doubling store no tables: they carry a Verschiebung hook
 (vsource) and act through their base module, which also gives them honest
 actions of operations outside their own subalgebra.
 """
@@ -12,7 +14,7 @@ actions of operations outside their own subalgebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 from steen.gf2 import Echelon, bits
@@ -35,7 +37,6 @@ from steen.milnor import (
 __all__ = [
     "FiniteModule",
     "ModuleMap",
-    "complete_tables",
     "coaction",
     "cyclic_quotient",
     "double",
@@ -52,7 +53,7 @@ _ID_FORBIDDEN = set("+=# \t\n")
 
 
 class FiniteModule:
-    """A finite-dimensional graded module with GF(2) bitset action tables."""
+    """A finite-dimensional graded module acting through Sq(2^e) bitset tables."""
 
     def __init__(
         self,
@@ -78,6 +79,8 @@ class FiniteModule:
             table = tuple(table)
             if len(table) != dim:
                 raise ValueError(f"{name}: Sq^{k} table has {len(table)} rows, dim {dim}")
+            if k < 1:
+                raise ValueError(f"{name}: Sq^{k} table given; k must be at least 1")
             if not algebra.contains((k,)):
                 raise ValueError(f"{name}: Sq^{k} is not in {algebra.name}")
             for i, row in enumerate(table):
@@ -88,13 +91,13 @@ class FiniteModule:
                         raise ValueError(
                             f"{name}: Sq^{k} {gens[i]} hits {gens[j]} of wrong degree"
                         )
-            if any(table):
-                clean[k] = table
+            clean[k] = table
         self.name = name
         self.algebra = algebra
         self.gens = gens
         self.degrees = degrees
-        self.tables = clean
+        self._generators = {k: t for k, t in clean.items() if not k & (k - 1)}
+        self._claims = {k: t for k, t in clean.items() if k & (k - 1)}
         self.vsource = vsource
         self.validated = False
         self._zeros = (0,) * dim
@@ -131,6 +134,21 @@ class FiniteModule:
         """The k with Sq^k in the algebra and 1 <= k <= span."""
         return [k for k in range(1, self.span + 1) if self.algebra.contains((k,))]
 
+    @cached_property
+    def tables(self) -> dict[int, tuple[int, ...]]:
+        """Every nonzero Sq^k table, k in algebra_ks(), derived by the action."""
+        out = {}
+        for k in self.algebra_ks():
+            table = tuple(self._act_basis((k,), i) for i in range(self.dim))
+            if any(table):
+                out[k] = table
+        return out
+
+    @property
+    def generator_tables(self) -> dict[int, tuple[int, ...]]:
+        """The nonzero Sq(2^e) tables."""
+        return {k: t for k, t in self.tables.items() if not k & (k - 1)}
+
     def table(self, k: int) -> tuple[int, ...]:
         return self.tables.get(k, self._zeros)
 
@@ -162,26 +180,26 @@ class FiniteModule:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        d = mono_degree(mono)
-        if self.degrees[i] + d > self.top:
+        if self.degrees[i] + mono_degree(mono) > self.top:
             result = 0
         elif self.vsource is not None:
             base, k = self.vsource
             vm = verschiebung_monomial(k, mono)
             result = 0 if vm is None else base._act_basis(vm, i)
+        elif not self.algebra.contains(mono):
+            raise ValueError(
+                f"{mono_str(mono)} is not in {self.algebra.name}; "
+                f"cannot act on {self.name}"
+            )
+        elif len(mono) == 1 and not mono[0] & (mono[0] - 1):
+            result = self._generators.get(mono[0], self._zeros)[i]
         else:
-            if not self.algebra.contains(mono):
-                raise ValueError(
-                    f"{mono_str(mono)} is not in {self.algebra.name}; "
-                    f"cannot act on {self.name}"
-                )
-            if len(mono) == 1:
-                result = self._apply_table(mono[0], 1 << i)
-            else:
-                result = 0
-                for e, rest in generator_expansion(mono, self.algebra):
-                    below = self._act_basis(rest, i) if rest else (1 << i)
-                    result ^= self._apply_table(1 << e, below)
+            result = 0
+            for e, rest in generator_expansion(mono, self.algebra):
+                below = self._act_basis(rest, i) if rest else (1 << i)
+                table = self._generators.get(1 << e, self._zeros)
+                for j in bits(below):
+                    result ^= table[j]
         self._cache[key] = result
         return result
 
@@ -196,12 +214,10 @@ class FiniteModule:
 
     def validate(self) -> list[str]:
         """Check the module against its definition; empty list means valid."""
-        problems: list[str] = []
         if self.vsource is not None:
-            problems.extend(self._validate_doubled())
+            problems = self._validate_doubled()
         else:
-            problems.extend(self._validate_tables())
-            problems.extend(self._validate_associativity())
+            problems = self._validate_claims() + self._validate_associativity()
         if not problems:
             self.validated = True
         return problems
@@ -213,38 +229,19 @@ class FiniteModule:
             problems.append(f"{self.name}: ids differ from base {base.name}")
         if self.degrees != tuple(d << k for d in base.degrees):
             problems.append(f"{self.name}: degrees are not 2^{k} times the base")
-        # every stored table must agree with the Verschiebung route
-        mask = (1 << k) - 1
-        for kk in self.algebra_ks():
-            expected_rows = []
-            for i in range(self.dim):
-                if kk & mask:
-                    expected_rows.append(0)
-                else:
-                    expected_rows.append(base._act_basis((kk >> k,), i))
-            if tuple(expected_rows) != self.table(kk):
-                problems.append(f"{self.name}: Sq^{kk} table disagrees with doubling")
         return problems
 
-    def _validate_tables(self) -> list[str]:
-        # composite single squares must match their generator expansion
+    def _validate_claims(self) -> list[str]:
+        # composite tables given to the constructor must match the expansion
         problems = []
-        for k in self.algebra_ks():
-            if k & (k - 1) == 0:
-                continue
-            expansion = generator_expansion((k,), self.algebra)
-            for i in range(self.dim):
-                if self.degrees[i] + k > self.top:
-                    continue
-                via = 0
-                for e, rest in expansion:
-                    below = self._act_basis(rest, i) if rest else (1 << i)
-                    via ^= self._apply_table(1 << e, below)
-                if via != self.table(k)[i]:
+        for k, claim in self._claims.items():
+            for i, row in enumerate(claim):
+                derived = self._act_basis((k,), i)
+                if row != derived:
                     problems.append(
                         f"{self.name}: Sq^{k} on {self.gens[i]} is "
-                        f"{self.ids_of(self.table(k)[i])} but the generator "
-                        f"expansion gives {self.ids_of(via)}"
+                        f"{self.ids_of(row)} but the generator "
+                        f"expansion gives {self.ids_of(derived)}"
                     )
         return problems
 
@@ -275,6 +272,11 @@ def trivial_module(algebra: Algebra, name: str = "F2", gen: str = "u") -> Finite
     return FiniteModule(name, algebra, (gen,), (0,), {})
 
 
+def _generator_ks(algebra: Algebra, span: int) -> list[int]:
+    """The k = 2^e <= span with Sq^k in the algebra."""
+    return [1 << e for e in range(span.bit_length()) if algebra.contains((1 << e,))]
+
+
 # -- constructions -------------------------------------------------------------
 
 
@@ -285,7 +287,7 @@ def shift(M: FiniteModule, m: int, name: str | None = None) -> FiniteModule:
         M.algebra,
         M.gens,
         tuple(d + m for d in M.degrees),
-        dict(M.tables),
+        M.generator_tables,
     )
 
 
@@ -299,20 +301,20 @@ def dualize(M: FiniteModule, name: str | None = None) -> FiniteModule:
     if M.vsource is not None:
         base, k = M.vsource
         return double(dualize(base), k, name=name)
-    tables: dict[int, list[int]] = {}
-    for k in M.algebra_ks():
+    tables: dict[int, tuple[int, ...]] = {}
+    for k in _generator_ks(M.algebra, M.span):
         chi = antipode(sq(k), cap=max(DEGREE_CAP, M.span))
         rows = [0] * M.dim
         for j in range(M.dim):
             for i in bits(M.act(chi, 1 << j)):
                 rows[i] |= 1 << j
-        tables[k] = rows
+        tables[k] = tuple(rows)
     return FiniteModule(
         name,
         M.algebra,
         tuple(f"{g}'" for g in M.gens),
         tuple(-d for d in M.degrees),
-        {k: tuple(rows) for k, rows in tables.items()},
+        tables,
     )
 
 
@@ -320,8 +322,8 @@ def double(M: FiniteModule, k: int, name: str | None = None) -> FiniteModule:
     """Degree-doubling along the k-fold Verschiebung: Sq^{2^k j} acts as Sq^j did.
 
     Over A(n) the result is an A(n+k)-module; over the whole algebra it stays
-    one.  The result remembers its base, so arbitrary operations act through
-    v^(k) even beyond the stated subalgebra.
+    one.  The result stores no tables but remembers its base, so arbitrary
+    operations act through v^(k) even beyond the stated subalgebra.
     """
     if k < 0:
         raise ValueError("doubling exponent must be non-negative")
@@ -331,28 +333,22 @@ def double(M: FiniteModule, k: int, name: str | None = None) -> FiniteModule:
         target = Algebra(n=M.algebra.n + k)
     else:
         target = M.algebra
-    tables = {kk << k: table for kk, table in M.tables.items()}
     return FiniteModule(
         name or f"{M.name}^({k})",
         target,
         M.gens,
         tuple(d << k for d in M.degrees),
-        tables,
+        {},
         vsource=(M, k),
     )
 
 
 def restrict(M: FiniteModule, algebra: Algebra, name: str | None = None) -> FiniteModule:
-    """Restrict along a subalgebra inclusion, keeping only its tables."""
-    span = M.span
-    for k in range(1, span + 1):
+    """Restrict along a subalgebra inclusion, keeping only its generators."""
+    for k in range(1, M.span + 1):
         if algebra.contains((k,)) and not M.algebra.contains((k,)):
             raise ValueError(f"{algebra.name} is not inside {M.algebra.name}")
-    tables = {
-        k: M.table(k)
-        for k in range(1, span + 1)
-        if algebra.contains((k,)) and any(M.table(k))
-    }
+    tables = {k: t for k, t in M.generator_tables.items() if algebra.contains((k,))}
     return FiniteModule(
         name or f"{M.name}|{algebra.name}",
         algebra,
@@ -370,10 +366,8 @@ def tensor(M: FiniteModule, N: FiniteModule, name: str | None = None) -> FiniteM
     degrees = tuple(dm + dn for dm in M.degrees for dn in N.degrees)
     dim_n = N.dim
     span = (max(degrees) - min(degrees)) if degrees else 0
-    tables: dict[int, list[int]] = {}
-    for k in range(1, span + 1):
-        if not M.algebra.contains((k,)):
-            continue
+    tables: dict[int, tuple[int, ...]] = {}
+    for k in _generator_ks(M.algebra, span):
         rows = [0] * (M.dim * dim_n)
         for i in range(M.dim):
             for j in range(dim_n):
@@ -385,14 +379,8 @@ def tensor(M: FiniteModule, N: FiniteModule, name: str | None = None) -> FiniteM
                         for q in bits(right):
                             out ^= 1 << (p * dim_n + q)
                 rows[i * dim_n + j] = out
-        tables[k] = rows
-    return FiniteModule(
-        name or f"{M.name}(x){N.name}",
-        M.algebra,
-        gens,
-        degrees,
-        {k: tuple(rows) for k, rows in tables.items()},
-    )
+        tables[k] = tuple(rows)
+    return FiniteModule(name or f"{M.name}(x){N.name}", M.algebra, gens, degrees, tables)
 
 
 def coaction(M: FiniteModule, i: int) -> list[tuple[Monomial, int]]:
@@ -476,10 +464,8 @@ def cyclic_quotient(
         return out
 
     span = max(degrees) if degrees else 0
-    tables: dict[int, list[int]] = {}
-    for k in range(1, span + 1):
-        if not algebra.contains((k,)):
-            continue
+    tables: dict[int, tuple[int, ...]] = {}
+    for k in _generator_ks(algebra, span):
         rows = [0] * len(reps)
         for i, (d, m) in enumerate(reps):
             if d + k > span:
@@ -489,71 +475,8 @@ def cyclic_quotient(
             for t in image.monomials:
                 vec ^= 1 << index[d + k][t]
             rows[i] = reduce_to_classes(d + k, vec)
-        if any(rows):
-            tables[k] = rows
-    return FiniteModule(name, algebra, tuple(ids), degrees, {k: tuple(r) for k, r in tables.items()})
-
-
-def _route_through_tables(
-    algebra: Algebra,
-    degrees: tuple[int, ...],
-    tables: dict[int, tuple[int, ...]],
-    top: int,
-    mono: Monomial,
-    i: int,
-) -> int:
-    """Expansion-route action using only the given tables (completion helper)."""
-    d = mono_degree(mono)
-    if degrees[i] + d > top:
-        return 0
-    if len(mono) == 1 and mono[0] & (mono[0] - 1) == 0:
-        table = tables.get(mono[0])
-        return table[i] if table else 0
-    out = 0
-    for e, rest in generator_expansion(mono, algebra):
-        below = (
-            _route_through_tables(algebra, degrees, tables, top, rest, i)
-            if rest
-            else (1 << i)
-        )
-        table = tables.get(1 << e)
-        if table:
-            for j in bits(below):
-                out ^= table[j]
-    return out
-
-
-def complete_tables(
-    name: str,
-    algebra: Algebra,
-    gens: tuple[str, ...],
-    degrees: tuple[int, ...],
-    two_power_tables: dict[int, tuple[int, ...]],
-    vsource: tuple[FiniteModule, int] | None = None,
-) -> FiniteModule:
-    """Build a module from tables for the generators Sq(2^e) alone.
-
-    Tables for composite k are derived through the generator expansion, so a
-    hand-entered diagram only ever specifies the 2-power edges.
-    """
-    for k in two_power_tables:
-        if k & (k - 1):
-            raise ValueError(f"{name}: Sq^{k} is not a generator table")
-    span = (max(degrees) - min(degrees)) if degrees else 0
-    top = max(degrees) if degrees else 0
-    tables = dict(two_power_tables)
-    for k in range(1, span + 1):
-        if k & (k - 1) == 0 or not algebra.contains((k,)):
-            continue
-        rows = tuple(
-            _route_through_tables(algebra, tuple(degrees), tables, top, (k,), i)
-            for i in range(len(gens))
-        )
-        if any(rows):
-            tables[k] = rows
-    return FiniteModule(
-        name, algebra, gens, degrees, {k: t for k, t in tables.items() if any(t)}, vsource
-    )
+        tables[k] = tuple(rows)
+    return FiniteModule(name, algebra, tuple(ids), degrees, tables)
 
 
 def extension_enumerate(M: FiniteModule, target: Algebra) -> list[FiniteModule]:
@@ -567,16 +490,9 @@ def extension_enumerate(M: FiniteModule, target: Algebra) -> list[FiniteModule]:
     for k in range(1, span + 1):
         if M.algebra.contains((k,)) and not target.contains((k,)):
             raise ValueError(f"{target.name} does not contain {M.algebra.name}")
-    new_es = [
-        e
-        for e in range(span.bit_length())
-        if (1 << e) <= span
-        and target.contains(((1 << e),))
-        and not M.algebra.contains(((1 << e),))
-    ]
+    new_ks = [k for k in _generator_ks(target, span) if not M.algebra.contains((k,))]
     slots: list[tuple[int, int, tuple[int, ...]]] = []  # (k, source index, targets)
-    for e in new_es:
-        k = 1 << e
+    for k in new_ks:
         for i in range(M.dim):
             targets = M.basis_at(M.degrees[i] + k)
             if targets:
@@ -584,22 +500,16 @@ def extension_enumerate(M: FiniteModule, target: Algebra) -> list[FiniteModule]:
     total_bits = sum(len(t) for _, _, t in slots)
     out: list[FiniteModule] = []
     for pattern in range(1 << total_bits):
-        new_tables: dict[int, list[int]] = {1 << e: [0] * M.dim for e in new_es}
+        new_tables: dict[int, list[int]] = {k: [0] * M.dim for k in new_ks}
         pos = 0
         for k, i, targets in slots:
             for j in targets:
                 if (pattern >> pos) & 1:
                     new_tables[k][i] |= 1 << j
                 pos += 1
-        two_powers = {
-            k: M.table(k) for k in M.algebra_ks() if k & (k - 1) == 0 and any(M.table(k))
-        }
-        for k, rows in new_tables.items():
-            if any(rows):
-                two_powers[k] = tuple(rows)
-        candidate = complete_tables(
-            f"{M.name}~{pattern}", target, M.gens, M.degrees, two_powers
-        )
+        tables = M.generator_tables
+        tables.update((k, tuple(rows)) for k, rows in new_tables.items())
+        candidate = FiniteModule(f"{M.name}~{pattern}", target, M.gens, M.degrees, tables)
         if not candidate.validate():
             out.append(candidate)
     return out
@@ -673,8 +583,7 @@ def find_isomorphism(M: FiniteModule, N: FiniteModule) -> ModuleMap | None:
     degrees = sorted(M.dims())
     local_m = {d: M.basis_at(d) for d in degrees}
     local_n = {d: N.basis_at(d) for d in degrees}
-    span = M.span
-    ks = [k for k in (1 << e for e in range(span.bit_length())) if k <= span and M.algebra.contains((k,))]
+    ks = _generator_ks(M.algebra, M.span)
     assignment: dict[int, tuple[int, ...]] = {}  # degree -> local matrix rows
 
     def global_row(d: int, p: int) -> int:

@@ -243,16 +243,13 @@ def _clip(M: FiniteModule, lo: int, hi: int) -> FiniteModule:
     keep = [i for i, d in enumerate(M.degrees) if lo <= d <= hi]
     pos = {i: p for p, i in enumerate(keep)}
     degrees = tuple(M.degrees[i] for i in keep)
-    span = max(degrees) - min(degrees) if degrees else 0
     tables: dict[int, tuple[int, ...]] = {}
-    for k in range(1, span + 1):
-        if not M.algebra.contains((k,)):
-            continue
+    for k, table in M.generator_tables.items():
         rows = []
         for i in keep:
             row = 0
             if M.degrees[i] + k <= hi:
-                for j in bits(M.act_mono((k,), 1 << i)):
+                for j in bits(table[i]):
                     row |= 1 << pos[j]
             rows.append(row)
         tables[k] = tuple(rows)

@@ -26,8 +26,8 @@ from steen.milnor import (
     admissible_words,
 )
 from steen.module import (
+    FiniteModule,
     coaction,
-    complete_tables,
     cyclic_quotient,
     double,
     dualize,
@@ -227,16 +227,16 @@ def _unstable_quotients() -> str:
 
 def _tensor_cells() -> str:
     A = full_a()
-    A3 = complete_tables("A3", A, ("x3", "x5", "x6"), (3, 5, 6), {2: (2, 0, 0), 1: (0, 4, 0)})
-    B1 = complete_tables("B1", A, ("y1", "y2"), (1, 2), {1: (2, 0)})
+    A3 = FiniteModule("A3", A, ("x3", "x5", "x6"), (3, 5, 6), {2: (2, 0, 0), 1: (0, 4, 0)})
+    B1 = FiniteModule("B1", A, ("y1", "y2"), (1, 2), {1: (2, 0)})
     assert not A3.validate() and not B1.validate()
     T = tensor(A3, B1)
     assert find_isomorphism(T, shift(get_module("jokerP1"), 4)) is not None
     lo = T.gens.index("x3y1")
     hi = T.gens.index("x6y2")
     assert T.act_mono((4,), 1 << lo) == 1 << hi, "Sq^4 x3y1"
-    A5 = complete_tables("A5", A, ("x5", "x9", "x11"), (5, 9, 11), {4: (2, 0, 0), 2: (0, 4, 0)})
-    B3 = complete_tables("B3", A, ("y3", "y5"), (3, 5), {2: (2, 0)})
+    A5 = FiniteModule("A5", A, ("x5", "x9", "x11"), (5, 9, 11), {4: (2, 0, 0), 2: (0, 4, 0)})
+    B3 = FiniteModule("B3", A, ("y3", "y5"), (3, 5), {2: (2, 0)})
     assert not A5.validate() and not B3.validate()
     T2 = tensor(A5, B3)
     assert find_isomorphism(T2, shift(get_module("joker2P1"), 8)) is not None

@@ -4,10 +4,11 @@ Everything here recomputes structure by a different route than the package:
 products through the dual Hopf-algebra pairing, admissible rewriting through
 the Adem relations, the antipode through the conjugate dual generators, and
 Ext groups through the bar resolution.  Plain dict/set polynomial arithmetic
-throughout; no package internals beyond basic GF(2) rank.  The exception is
-the reference resolver at the end, which rebuilds minimal resolutions column
-by column from general Milnor products instead of the package's Sq(2^e)
-recurrence.
+throughout; no package internals beyond basic GF(2) rank.  The exceptions are
+two thin lifts of package primitives that only the tests need (`solve` over
+`Echelon`, `verschiebung` over `verschiebung_monomial`), and the reference
+resolver at the end, which rebuilds minimal resolutions column by column from
+general Milnor products instead of the package's Sq(2^e) recurrence.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from itertools import product as iproduct
 from math import comb
 
 from steen.gf2 import Echelon, bits, kernel, rank
-from steen.milnor import Element, enumerate_basis, full_a, milnor_product, sq
+from steen.milnor import (
+    Element,
+    enumerate_basis,
+    full_a,
+    milnor_product,
+    sq,
+    verschiebung_monomial,
+)
 from steen.module import restrict
 from steen.resolution import Resolution
 
@@ -251,6 +259,28 @@ def oracle_power_basis_count(
         if sum(e * g for e, g in zip(exps, gen_degrees)) == d:
             count += 1
     return count
+
+
+# -- lifts of package primitives ------------------------------------------------
+
+
+def solve(rows, target: int) -> int | None:
+    """A combo c with XOR of rows[i] over bits i of c equal to target, or None."""
+    ech = Echelon()
+    for i, row in enumerate(rows):
+        ech.add(row, 1 << i)
+    residual, combo = ech.reduce(target)
+    return combo if residual == 0 else None
+
+
+def verschiebung(k: int, a: Element) -> Element:
+    """The k-fold Verschiebung on elements, monomial by monomial."""
+    acc: set = set()
+    for m in a.monomials:
+        vm = verschiebung_monomial(k, m)
+        if vm is not None:
+            acc ^= {vm}
+    return Element(acc)
 
 
 # -- minimal resolutions through general Milnor products ----------------------

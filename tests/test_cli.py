@@ -59,6 +59,43 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert "Sq" in capsys.readouterr().out
 
 
+# the joker from its Sq^1 and Sq^2 edges alone
+JOKER_GENERATORS = """\
+module joker over A(1)
+gen x0 0
+gen x1 1
+gen x2 2
+gen x3 3
+gen x4 4
+sq 1 x0 = x1
+sq 1 x3 = x4
+sq 2 x0 = x2
+sq 2 x1 = x3
+sq 2 x2 = x4
+"""
+
+
+def test_composite_lines_are_derived_when_omitted(tmp_path, capsys):
+    path = tmp_path / "joker.mod"
+    path.write_text(JOKER_GENERATORS)
+    assert main(["validate", str(path)]) == 0
+    assert "joker: ok" in capsys.readouterr().out
+    assert main(["show", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == JOKER_GENERATORS + "sq 3 x1 = x4\n"
+    assert main(["show", "joker"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_validate_checks_composite_lines(tmp_path, capsys):
+    # Sq^3 x0 = Sq^1 Sq^2 x0 = Sq^1 x2 = 0, so this line is a false claim
+    path = tmp_path / "joker.mod"
+    path.write_text(JOKER_GENERATORS + "sq 3 x0 = x3\nsq 3 x1 = x4\n")
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "Sq^3 on x0 is ['x3'] but the generator expansion gives []" in out
+
+
 def test_validate_parse_error(tmp_path, capsys):
     path = tmp_path / "junk.mod"
     path.write_text("module x over A(1)\nwhat is this\n")
@@ -79,6 +116,8 @@ def test_validate_parse_error(tmp_path, capsys):
          "sq entry 'x'"),
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"1": {"a": "a"}}}',
          "list of ids"),
+        ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"0": {"a": ["a"]}}}',
+         "k must be at least 1"),
     ],
 )
 def test_validate_malformed_json_is_a_usage_error(tmp_path, capsys, payload, message):

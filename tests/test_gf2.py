@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from steen.gf2 import Echelon, bits, kernel, rank, solve
+from oracles import solve
+from steen.gf2 import Echelon, bits, kernel, rank
 
 
 def xor_combo(rows, combo):

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from oracles import adem_expand, oracle_antipode, oracle_product
+from oracles import adem_expand, oracle_antipode, oracle_product, verschiebung
 from steen.milnor import (
     DEGREE_CAP,
     DegreeCapError,
@@ -27,7 +27,6 @@ from steen.milnor import (
     sq_word,
     to_admissible,
     unit,
-    verschiebung,
 )
 
 # hand-checked products, frozen; keys are (R, S), values the monomial set

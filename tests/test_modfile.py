@@ -95,6 +95,10 @@ def test_parse_errors():
             "module m over A\ngen a 0\ngen b 1\nsq 1 a = b\nsq 1 a = b\n",
             "repeated sq",
         ),
+        ("module m over A\ngen a x\n", "line 2: bad degree 'x'"),
+        ("module m over A\ngen a 0\nsq one a = a\n", "line 3: bad operation 'one'"),
+        ("module m over A\ngen a 0\nsq 0 a = a\n", "line 3: bad operation '0'"),
+        ("polymodule p\npolygen g x real\n", "line 2: bad degree 'x'"),
     ]
     for text, fragment in cases:
         with pytest.raises(ValueError, match=fragment):

@@ -7,7 +7,6 @@ import pytest
 from steen.milnor import an, full_a, sq
 from steen.module import (
     FiniteModule,
-    complete_tables,
     coaction,
     cyclic_quotient,
     double,
@@ -185,9 +184,9 @@ def test_coaction_lists_all_hits():
     assert coaction(W, 0) == [((), 0)]
 
 
-def test_complete_tables_rebuilds_composites():
+def test_generator_tables_derive_composites():
     J = joker()
-    rebuilt = complete_tables(
+    rebuilt = FiniteModule(
         "again", A1, J.gens, J.degrees, {1: J.table(1), 2: J.table(2)}
     )
     assert rebuilt.tables == J.tables
@@ -213,7 +212,7 @@ def test_extension_to_full_algebra():
 
 def test_find_isomorphism_deterministic_identity():
     J = joker()
-    clone = complete_tables(
+    clone = FiniteModule(
         "clone", A1, ("a", "b", "c", "d", "e"), (0, 1, 2, 3, 4),
         {1: J.table(1), 2: J.table(2)},
     )
