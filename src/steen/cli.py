@@ -32,12 +32,16 @@ class UsageError(Exception):
 
 
 def _load_module(token: str):
-    """A catalogue name or a module-definition file path."""
+    """A catalogue name or a module-definition file path; a file must validate."""
     if token in MODULE_NAMES:
         return get_module(token)
     path = Path(token)
     if path.exists():
-        return load(path)
+        M = load(path)
+        problems = M.validate() if isinstance(M, FiniteModule) else []
+        if problems:
+            raise ValueError(problems[0])
+        return M
     raise UsageError(f"unknown module {token!r}: not a catalogue name or a file")
 
 
@@ -51,11 +55,11 @@ def _finite(token: str) -> FiniteModule:
     return M
 
 
-def _resolution_algebra(spec: str | None, M: FiniteModule, cfg: Config) -> Algebra:
+def _resolution_algebra(spec: str | None, M: FiniteModule) -> Algebra:
     if spec is not None:
-        return parse_algebra(spec, "--algebra", cfg.degree_cap)
+        return parse_algebra(spec, "--algebra")
     if M.algebra.n is None:
-        return full_a(cfg.degree_cap)
+        return full_a()
     return M.algebra
 
 
@@ -64,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="steen",
         description="modules over the mod-2 Steenrod algebra and its subalgebras",
     )
-    parser.add_argument("--degree-cap", type=int, help="cap for the full algebra")
     parser.add_argument("--output-dir", help="directory for file outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -117,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure(args: argparse.Namespace) -> Config:
     cfg = from_env()
     overrides = {}
-    if args.degree_cap is not None:
-        overrides["degree_cap"] = args.degree_cap
     if args.output_dir is not None:
         overrides["output_dir"] = args.output_dir
     if getattr(args, "smax", None) is not None:
@@ -165,7 +166,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_resolve(args: argparse.Namespace, cfg: Config) -> int:
     M = _finite(args.module)
-    algebra = _resolution_algebra(args.algebra, M, cfg)
+    algebra = _resolution_algebra(args.algebra, M)
     R = minimal_resolution(algebra, M, cfg.s_max, cfg.t_max)
     print(dump_resolution(R), end="")
     return 0
@@ -173,7 +174,7 @@ def _cmd_resolve(args: argparse.Namespace, cfg: Config) -> int:
 
 def _cmd_chart(args: argparse.Namespace, cfg: Config) -> int:
     M = _finite(args.module)
-    algebra = _resolution_algebra(args.algebra, M, cfg)
+    algebra = _resolution_algebra(args.algebra, M)
     R = minimal_resolution(algebra, M, cfg.s_max, cfg.t_max)
     data = emit_chart(ext_chart(R), cfg.format)
     if args.out:

@@ -11,21 +11,19 @@ import os
 from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
-from steen.milnor import DEGREE_CAP
 from steen.resolution import S_MAX_LIMIT, T_MAX_LIMIT
 
 __all__ = ["Config", "ENV_PREFIX", "config_problems", "from_env"]
 
 ENV_PREFIX = "STEEN_"
 
-_INT_FIELDS = frozenset({"degree_cap", "s_max", "t_max"})
+_INT_FIELDS = frozenset({"s_max", "t_max"})
 
 
 @dataclass(frozen=True)
 class Config:
-    """Knobs for the CLI: algebra cap, resolution window, output plumbing."""
+    """Knobs for the CLI: resolution window, output plumbing."""
 
-    degree_cap: int = DEGREE_CAP
     s_max: int = S_MAX_LIMIT
     t_max: int = T_MAX_LIMIT
     output_dir: str = "."
@@ -58,17 +56,10 @@ def from_env(
 def config_problems(cfg: Config) -> list[str]:
     """Guard violations, empty when the configuration is usable."""
     problems = []
-    if cfg.degree_cap < 1:
-        problems.append(f"degree_cap must be positive, got {cfg.degree_cap}")
     if not 0 <= cfg.s_max <= S_MAX_LIMIT:
         problems.append(f"s_max must be between 0 and {S_MAX_LIMIT}, got {cfg.s_max}")
     if not 0 <= cfg.t_max <= T_MAX_LIMIT:
         problems.append(f"t_max must be between 0 and {T_MAX_LIMIT}, got {cfg.t_max}")
-    if cfg.t_max > cfg.degree_cap:
-        problems.append(
-            f"t_max {cfg.t_max} exceeds degree_cap {cfg.degree_cap}; "
-            "the algebra cap must cover the resolution window"
-        )
     if cfg.format not in ("text", "svg"):
         problems.append(f"format must be 'text' or 'svg', got {cfg.format!r}")
     return problems

@@ -1,40 +1,28 @@
-"""The dual Hopf algebra F_2[xi_1, xi_2, ...]: conjugates and basis conversion.
+"""The dual Hopf algebra F_2[xi_1, xi_2, ...]: polynomials and conjugates.
 
 Monomials reuse the exponent-tuple shape of the Milnor basis: the tuple
 (e1,...,el) is xi_1^e1 ... xi_l^el, dual to Sq(e1,...,el).  Polynomials are
 mod-2 monomial sets.  The conjugate (antipode image) of xi_n is written
-zeta_n; since the dual is commutative, conjugation is a ring map and basis
-conversion is letterwise substitution.
+zeta_n; since the dual is commutative, conjugation is a ring map.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
 
-from steen.milnor import Monomial, normalize
+from steen.milnor import Monomial
 
 __all__ = [
     "Poly",
-    "poly",
     "poly_mul",
     "poly_pow",
     "xi_mono",
     "zeta_in_xi",
-    "zeta_substitute",
 ]
 
 Poly = frozenset[Monomial]
 
 P_ONE: Poly = frozenset({()})
-P_ZERO: Poly = frozenset()
-
-
-def poly(monomials: Iterable[Monomial]) -> Poly:
-    acc: set[Monomial] = set()
-    for m in monomials:
-        acc ^= {normalize(m)}
-    return frozenset(acc)
 
 
 def xi_mono(n: int, e: int = 1) -> Monomial:
@@ -77,25 +65,4 @@ def zeta_in_xi(n: int) -> Poly:
     for i in range(1, n + 1):
         for m in poly_mul(poly_pow(zeta_in_xi(n - i), 1 << i), frozenset({xi_mono(i)})):
             acc ^= {m}
-    return frozenset(acc)
-
-
-@lru_cache(maxsize=None)
-def _zeta_substitute_mono(m: Monomial) -> Poly:
-    acc = P_ONE
-    for slot, e in enumerate(m, start=1):
-        acc = poly_mul(acc, poly_pow(zeta_in_xi(slot), e))
-    return acc
-
-
-def zeta_substitute(p: Poly) -> Poly:
-    """Substitute zeta_n for each letter xi_n (a ring map, and an involution).
-
-    Reading the input in the zeta basis, the output is its xi-basis form;
-    reading it in the xi basis, the output is the zeta-basis form.
-    """
-    acc: set[Monomial] = set()
-    for m in p:
-        for t in _zeta_substitute_mono(m):
-            acc ^= {t}
     return frozenset(acc)

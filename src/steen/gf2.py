@@ -64,13 +64,6 @@ class Echelon:
             self._rows[pivot] = (vec, tag)
         return vec, tag
 
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec)[0] == 0
-
-    def rows(self) -> list[int]:
-        """The reduced rows, sorted by pivot column."""
-        return [row for _, (row, _) in sorted(self._rows.items())]
-
     def pivots(self) -> list[int]:
         """Pivot column indices, ascending."""
         return [p.bit_length() - 1 for p in sorted(self._rows)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Iterable, Iterator
 
 from steen.gf2 import Echelon, bits
@@ -21,14 +20,12 @@ __all__ = [
     "DEGREE_CAP",
     "DegreeCapError",
     "Element",
-    "FULL_A",
     "Monomial",
     "Word",
     "admissible_words",
     "an",
     "antipode",
     "basis_count",
-    "coproduct",
     "enumerate_basis",
     "expansion_positions",
     "full_a",
@@ -42,7 +39,6 @@ __all__ = [
     "sq",
     "sq_word",
     "to_admissible",
-    "unit",
     "verschiebung_monomial",
 ]
 
@@ -158,10 +154,6 @@ ZERO = Element()
 UNIT = Element([()])
 
 
-def unit() -> Element:
-    return UNIT
-
-
 def sq(*exponents: int) -> Element:
     """The Milnor basis element Sq(r1,...,rl); sq() is the unit."""
     return Element([tuple(exponents)])
@@ -243,20 +235,6 @@ def sq_word(ks: Iterable[int], cap: int = DEGREE_CAP) -> Element:
     for k in ks:
         acc = milnor_product(acc, sq(k), cap=cap)
     return acc
-
-
-def coproduct(m: Monomial) -> list[tuple[Monomial, Monomial]]:
-    """All splittings R' + R'' = R; every coefficient is 1 mod 2.
-
-    Returns the (Sq(R'), Sq(R'')) pairs sorted by left factor; the list has
-    exactly prod(r_i + 1) entries and no duplicates.
-    """
-    m = normalize(m)
-    pairs = []
-    for left in iproduct(*(range(r + 1) for r in m)):
-        right = tuple(r - lv for r, lv in zip(m, left))
-        pairs.append((normalize(left), normalize(right)))
-    return sorted(pairs)
 
 
 # -- admissible words and the antipode ---------------------------------------
@@ -394,13 +372,6 @@ class Algebra:
             for i in range(1, self.n + 2)
         )
 
-    @property
-    def sq_top(self) -> int:
-        """Largest k with Sq^k in the algebra (cap for the whole algebra)."""
-        if self.n is None:
-            return self.cap
-        return (1 << (self.n + 1)) - 1
-
     def contains(self, m: Monomial) -> bool:
         if self.n is None:
             return True
@@ -418,9 +389,6 @@ class Algebra:
 
     def __str__(self) -> str:
         return self.name
-
-
-FULL_A = Algebra()
 
 
 def an(n: int) -> Algebra:
@@ -485,12 +453,12 @@ def _an_basis(n: int, d: int) -> tuple[Monomial, ...]:
     return tuple(sorted(out))
 
 
-def enumerate_basis(algebra: Algebra, d: int, cap: int | None = None) -> tuple[Monomial, ...]:
+def enumerate_basis(algebra: Algebra, d: int) -> tuple[Monomial, ...]:
     """Milnor basis of the algebra in degree d, lex sorted on exponent tuples."""
     if d < 0:
         return ()
     if algebra.n is None:
-        _check_cap(d, algebra.cap if cap is None else cap)
+        _check_cap(d, algebra.cap)
         return milnor_basis(d)
     return _an_basis(algebra.n, d)
 

@@ -28,7 +28,7 @@ import re
 from pathlib import Path
 
 from steen.gf2 import bits
-from steen.milnor import DEGREE_CAP, Algebra, an, full_a
+from steen.milnor import Algebra, an, full_a
 from steen.module import FiniteModule
 
 __all__ = [
@@ -44,12 +44,12 @@ __all__ = [
 _ALGEBRA_RE = re.compile(r"A(\((\d+)\))?")
 
 
-def parse_algebra(token: str, where: str, cap: int = DEGREE_CAP) -> Algebra:
-    """`A` (the whole algebra, enumerated up to degree cap) or `A(n)`."""
+def parse_algebra(token: str, where: str) -> Algebra:
+    """`A` (the whole algebra) or `A(n)`."""
     match = _ALGEBRA_RE.fullmatch(token)
     if not match:
         raise ValueError(f"{where}: bad algebra {token!r}; use A or A(n)")
-    return full_a(cap) if match.group(2) is None else an(int(match.group(2)))
+    return full_a() if match.group(2) is None else an(int(match.group(2)))
 
 
 def _integer(token: str, lineno: int, what: str, least: int | None = None) -> int:
@@ -136,6 +136,8 @@ def _parse_finite(lines: list[tuple[int, list[str]]]) -> FiniteModule:
         for t in targets:
             if t not in index:
                 raise ValueError(f"line {lineno}: unknown id {t}")
+            if degrees[index[t]] != degrees[index[src]] + k:
+                raise ValueError(f"line {lineno}: Sq^{k} {src} hits {t} of wrong degree")
             row ^= 1 << index[t]
         table = tables.setdefault(k, [0] * len(gens))
         if table[index[src]]:

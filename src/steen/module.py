@@ -9,15 +9,20 @@ Wu formula) are claims that `validate` checks against the expansion.
 Modules produced by doubling store no tables: they carry a Verschiebung hook
 (vsource) and act through their base module, which also gives them honest
 actions of operations outside their own subalgebra.
+
+Hom spaces are linear algebra: the degree-preserving maps M -> N are the
+kernel of one GF(2) system in the matrix entries, f Sq(2^e) = Sq(2^e) f.
+An isomorphism is a sum of those basis maps that is invertible in every
+degree; the search for one goes up the degrees, prunes each sum whose block
+is singular, and stops with ValueError after SEARCH_LIMIT tried sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product as iproduct
+from functools import cached_property
 
-from steen.gf2 import Echelon, bits
+from steen.gf2 import Echelon, bits, kernel, rank
 from steen.milnor import (
     DEGREE_CAP,
     Algebra,
@@ -43,6 +48,7 @@ __all__ = [
     "dualize",
     "extension_enumerate",
     "find_isomorphism",
+    "hom_basis",
     "restrict",
     "shift",
     "tensor",
@@ -202,13 +208,6 @@ class FiniteModule:
                     result ^= table[j]
         self._cache[key] = result
         return result
-
-    def _apply_table(self, k: int, vec: int) -> int:
-        table = self.table(k)
-        out = 0
-        for j in bits(vec):
-            out ^= table[j]
-        return out
 
     # -- validation --
 
@@ -515,7 +514,9 @@ def extension_enumerate(M: FiniteModule, target: Algebra) -> list[FiniteModule]:
     return out
 
 
-# -- isomorphism search ----------------------------------------------------------
+# -- Hom and isomorphisms ---------------------------------------------------------
+
+SEARCH_LIMIT = 1 << 16  # sums of Hom basis maps find_isomorphism may try
 
 
 @dataclass(frozen=True)
@@ -526,110 +527,82 @@ class ModuleMap:
     target: FiniteModule
     rows: tuple[int, ...]
 
-    def apply(self, vec: int) -> int:
-        out = 0
-        for i in bits(vec):
-            out ^= self.rows[i]
-        return out
 
-    def is_isomorphism(self) -> bool:
-        if self.source.dims() != self.target.dims():
-            return False
-        ech = Echelon()
-        for row in self.rows:
-            if ech.add(row)[0] == 0:
-                return False
-        return True
+def hom_basis(M: FiniteModule, N: FiniteModule) -> list[ModuleMap]:
+    """A basis of the degree-preserving module maps M -> N.
 
-    def commutes_with(self, k: int) -> bool:
-        for i in range(self.source.dim):
-            if self.apply(self.source.table(k)[i]) != self.target._apply_table(
-                k, self.rows[i]
-            ):
-                return False
-        return True
-
-
-@lru_cache(maxsize=None)
-def _invertible_matrices(n: int) -> tuple[tuple[int, ...], ...]:
-    """All invertible n x n GF(2) matrices as row tuples, ascending."""
-    if n == 0:
-        return ((),)
-    out = []
-    for rows in iproduct(range(1, 1 << n), repeat=n):
-        ech = Echelon()
-        ok = True
-        for r in rows:
-            if ech.add(r)[0] == 0:
-                ok = False
-                break
-        if ok:
-            out.append(rows)
-    return tuple(out)
+    The unknowns are the entries (i, j) with x_i and y_j in one degree, taken
+    from the top degree down; f Sq(2^e) = Sq(2^e) f is linear in them, so the
+    maps are the kernel of one GF(2) system.  On validated modules that forces
+    full equivariance, since every other operation expands over the Sq(2^e).
+    The kernel combos have distinct top bits, so each map's last unknown lies
+    in the lowest degree it touches, and the maps sharing a lowest degree are
+    independent on that degree's block.
+    """
+    if M.algebra != N.algebra:
+        raise ValueError(f"Hom across algebras: {M.algebra} vs {N.algebra}")
+    targets = {d: N.basis_at(d) for d in set(M.degrees)}
+    unknowns = [
+        (i, j)
+        for d in sorted(targets, reverse=True)
+        for i in M.basis_at(d)
+        for j in targets[d]
+    ]
+    index = {u: p for p, u in enumerate(unknowns)}
+    span = max(M.top, N.top) - min(M.bottom, N.bottom)
+    # column p holds the equations unknown p enters; equation (c, i, l) is the
+    # coefficient of y_l in (f Sq^k - Sq^k f)(x_i) for the c-th generator Sq^k
+    columns = [0] * len(unknowns)
+    for c, k in enumerate(_generator_ks(M.algebra, span)):
+        for i, row in enumerate(M.table(k)):
+            for i2 in bits(row):
+                for j in targets[M.degrees[i2]]:
+                    columns[index[i2, j]] ^= 1 << ((c * M.dim + i) * N.dim + j)
+        for p, (i, j) in enumerate(unknowns):
+            for l in bits(N.table(k)[j]):
+                columns[p] ^= 1 << ((c * M.dim + i) * N.dim + l)
+    maps = []
+    for combo in kernel(columns):
+        rows = [0] * M.dim
+        for p in bits(combo):
+            i, j = unknowns[p]
+            rows[i] |= 1 << j
+        maps.append(ModuleMap(M, N, tuple(rows)))
+    return maps
 
 
 def find_isomorphism(M: FiniteModule, N: FiniteModule) -> ModuleMap | None:
-    """Search for a degreewise iso commuting with the generator actions.
+    """An isomorphism M -> N drawn from hom_basis, or None when there is none.
 
-    On validated modules, commuting with every Sq(2^e) table forces full
-    equivariance, since all other actions expand over the generators.
+    The basis maps are grouped by the lowest degree they touch.  Going up the
+    degrees, each sum of the maps whose lowest degree is d fixes the degree-d
+    block, and a sum is kept only when that block is invertible, so the search
+    is exhaustive.  Past SEARCH_LIMIT tried sums it raises ValueError.
     """
-    if M.algebra != N.algebra:
-        raise ValueError(
-            f"isomorphism search across algebras: {M.algebra} vs {N.algebra}"
-        )
+    basis = hom_basis(M, N)
     if M.dims() != N.dims():
         return None
     degrees = sorted(M.dims())
-    local_m = {d: M.basis_at(d) for d in degrees}
-    local_n = {d: N.basis_at(d) for d in degrees}
-    ks = _generator_ks(M.algebra, M.span)
-    assignment: dict[int, tuple[int, ...]] = {}  # degree -> local matrix rows
-
-    def global_row(d: int, p: int) -> int:
-        # image of M's p-th basis vector at degree d, as a global N bitset
-        out = 0
-        row = assignment[d][p]
-        for c in bits(row):
-            out |= 1 << local_n[d][c]
-        return out
-
-    def image_of(vec: int) -> int | None:
-        out = 0
-        for i in bits(vec):
-            d = M.degrees[i]
-            if d not in assignment:
-                return None
-            out ^= global_row(d, local_m[d].index(i))
-        return out
-
-    def consistent(d: int) -> bool:
-        for k in ks:
-            source_deg = d - k
-            if source_deg not in assignment:
-                continue
-            for p, i in enumerate(local_m[source_deg]):
-                lhs = image_of(M.table(k)[i])
-                rhs = N._apply_table(k, global_row(source_deg, p))
-                if lhs is None or lhs != rhs:
-                    return False
-        return True
-
-    def search(pos: int) -> bool:
+    blocks = [M.basis_at(d) for d in degrees]
+    groups: dict[int, list[tuple[int, ...]]] = {d: [] for d in degrees}
+    for f in basis:
+        groups[min(M.degrees[i] for i, row in enumerate(f.rows) if row)].append(f.rows)
+    tried = 0
+    stack = [(0, 0, (0,) * M.dim)]  # (degree position, next map of its group, sum)
+    while stack:
+        pos, m, rows = stack.pop()
         if pos == len(degrees):
-            return True
-        d = degrees[pos]
-        for matrix in _invertible_matrices(len(local_m[d])):
-            assignment[d] = matrix
-            if consistent(d) and search(pos + 1):
-                return True
-        del assignment[d]
-        return False
-
-    if not search(0):
-        return None
-    rows = [0] * M.dim
-    for d in degrees:
-        for p, i in enumerate(local_m[d]):
-            rows[i] = global_row(d, p)
-    return ModuleMap(M, N, tuple(rows))
+            return ModuleMap(M, N, rows)
+        group = groups[degrees[pos]]
+        if m < len(group):
+            stack.append((pos, m + 1, tuple(r ^ s for r, s in zip(rows, group[m]))))
+            stack.append((pos, m + 1, rows))
+            continue
+        tried += 1
+        if tried > SEARCH_LIMIT:
+            raise ValueError(
+                f"isomorphism search {M.name} -> {N.name} passed {SEARCH_LIMIT} tried sums"
+            )
+        if rank(rows[i] for i in blocks[pos]) == len(blocks[pos]):
+            stack.append((pos + 1, 0, rows))
+    return None

@@ -5,10 +5,14 @@ products through the dual Hopf-algebra pairing, admissible rewriting through
 the Adem relations, the antipode through the conjugate dual generators, and
 Ext groups through the bar resolution.  Plain dict/set polynomial arithmetic
 throughout; no package internals beyond basic GF(2) rank.  The exceptions are
-two thin lifts of package primitives that only the tests need (`solve` over
-`Echelon`, `verschiebung` over `verschiebung_monomial`), and the reference
-resolver at the end, which rebuilds minimal resolutions column by column from
-general Milnor products instead of the package's Sq(2^e) recurrence.
+thin lifts of package primitives that only the tests need (`solve`,
+`echelon_contains` and `echelon_rows` over `Echelon`, `verschiebung` over
+`verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
+`unit`, and `apply`, `is_isomorphism` and `commutes_with` on module maps), and
+two reference routes: the resolver, which rebuilds minimal resolutions column
+by column from general Milnor products instead of the package's Sq(2^e)
+recurrence, and `reference_isomorphism`, which walks every invertible matrix in
+each degree instead of searching the Hom basis.
 """
 
 from __future__ import annotations
@@ -17,16 +21,18 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
 
+from steen.dual import zeta_in_xi
 from steen.gf2 import Echelon, bits, kernel, rank
 from steen.milnor import (
     Element,
     enumerate_basis,
     full_a,
     milnor_product,
+    normalize,
     sq,
     verschiebung_monomial,
 )
-from steen.module import restrict
+from steen.module import ModuleMap, restrict
 from steen.resolution import Resolution
 
 Mono = tuple[int, ...]  # exponent tuple of xi_1, xi_2, ..., no trailing zeros
@@ -281,6 +287,174 @@ def verschiebung(k: int, a: Element) -> Element:
         if vm is not None:
             acc ^= {vm}
     return Element(acc)
+
+
+def echelon_contains(ech: Echelon, vec: int) -> bool:
+    return ech.reduce(vec)[0] == 0
+
+
+def echelon_rows(ech: Echelon) -> list[int]:
+    """The reduced rows, sorted by pivot column."""
+    return [row for _, (row, _) in sorted(ech._rows.items())]
+
+
+FULL_A = full_a()
+
+
+def unit() -> Element:
+    return Element([()])
+
+
+def coproduct(m: Mono) -> list[tuple[Mono, Mono]]:
+    """All splittings R' + R'' = R; every coefficient is 1 mod 2.
+
+    Returns the (Sq(R'), Sq(R'')) pairs sorted by left factor; the list has
+    exactly prod(r_i + 1) entries and no duplicates.
+    """
+    m = normalize(m)
+    pairs = []
+    for left in iproduct(*(range(r + 1) for r in m)):
+        right = tuple(r - lv for r, lv in zip(m, left))
+        pairs.append((normalize(left), normalize(right)))
+    return sorted(pairs)
+
+
+@lru_cache(maxsize=None)
+def _substitute_zeta_mono(m: Mono) -> Poly:
+    acc = P_ONE
+    for slot, e in enumerate(m, start=1):
+        acc = poly_mul(acc, poly_pow(zeta_in_xi(slot), e))
+    return acc
+
+
+def substitute_zeta(p: Poly) -> Poly:
+    """Substitute the package's zeta_n for each letter xi_n (a ring map, and an involution).
+
+    Reading the input in the zeta basis, the output is its xi-basis form;
+    reading it in the xi basis, the output is the zeta-basis form.
+    """
+    acc: set[Mono] = set()
+    for m in p:
+        for t in _substitute_zeta_mono(m):
+            acc ^= {t}
+    return frozenset(acc)
+
+
+# -- module maps and the brute-force isomorphism search ------------------------
+
+
+def xor_rows(rows, vec: int) -> int:
+    """Image of vec under the matrix whose i-th row is rows[i]."""
+    out = 0
+    for i in bits(vec):
+        out ^= rows[i]
+    return out
+
+
+def apply(f: ModuleMap, vec: int) -> int:
+    return xor_rows(f.rows, vec)
+
+
+def is_isomorphism(f: ModuleMap) -> bool:
+    if f.source.dims() != f.target.dims():
+        return False
+    ech = Echelon()
+    for row in f.rows:
+        if ech.add(row)[0] == 0:
+            return False
+    return True
+
+
+def commutes_with(f: ModuleMap, k: int) -> bool:
+    for i in range(f.source.dim):
+        if apply(f, f.source.table(k)[i]) != xor_rows(f.target.table(k), f.rows[i]):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _invertible_matrices(n: int) -> tuple[tuple[int, ...], ...]:
+    """All invertible n x n GF(2) matrices as row tuples, ascending."""
+    if n == 0:
+        return ((),)
+    out = []
+    for rows in iproduct(range(1, 1 << n), repeat=n):
+        ech = Echelon()
+        ok = True
+        for r in rows:
+            if ech.add(r)[0] == 0:
+                ok = False
+                break
+        if ok:
+            out.append(rows)
+    return tuple(out)
+
+
+def reference_isomorphism(M, N) -> ModuleMap | None:
+    """Search every invertible matrix in each degree for one commuting with Sq(2^e).
+
+    Backtracks degree by degree, ascending; exponential in the largest
+    degree dimension, so only for small modules.
+    """
+    if M.algebra != N.algebra:
+        raise ValueError(
+            f"isomorphism search across algebras: {M.algebra} vs {N.algebra}"
+        )
+    if M.dims() != N.dims():
+        return None
+    degrees = sorted(M.dims())
+    local_m = {d: M.basis_at(d) for d in degrees}
+    local_n = {d: N.basis_at(d) for d in degrees}
+    ks = [1 << e for e in range(M.span.bit_length()) if M.algebra.contains((1 << e,))]
+    assignment: dict[int, tuple[int, ...]] = {}  # degree -> local matrix rows
+
+    def global_row(d: int, p: int) -> int:
+        # image of M's p-th basis vector at degree d, as a global N bitset
+        out = 0
+        row = assignment[d][p]
+        for c in bits(row):
+            out |= 1 << local_n[d][c]
+        return out
+
+    def image_of(vec: int) -> int | None:
+        out = 0
+        for i in bits(vec):
+            d = M.degrees[i]
+            if d not in assignment:
+                return None
+            out ^= global_row(d, local_m[d].index(i))
+        return out
+
+    def consistent(d: int) -> bool:
+        for k in ks:
+            source_deg = d - k
+            if source_deg not in assignment:
+                continue
+            for p, i in enumerate(local_m[source_deg]):
+                lhs = image_of(M.table(k)[i])
+                rhs = xor_rows(N.table(k), global_row(source_deg, p))
+                if lhs is None or lhs != rhs:
+                    return False
+        return True
+
+    def search(pos: int) -> bool:
+        if pos == len(degrees):
+            return True
+        d = degrees[pos]
+        for matrix in _invertible_matrices(len(local_m[d])):
+            assignment[d] = matrix
+            if consistent(d) and search(pos + 1):
+                return True
+        del assignment[d]
+        return False
+
+    if not search(0):
+        return None
+    rows = [0] * M.dim
+    for d in degrees:
+        for p, i in enumerate(local_m[d]):
+            rows[i] = global_row(d, p)
+    return ModuleMap(M, N, tuple(rows))
 
 
 # -- minimal resolutions through general Milnor products ----------------------

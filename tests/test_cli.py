@@ -96,6 +96,16 @@ def test_validate_checks_composite_lines(tmp_path, capsys):
     assert "Sq^3 on x0 is ['x3'] but the generator expansion gives []" in out
 
 
+def test_commands_reject_an_invalid_module_file(tmp_path, capsys):
+    path = tmp_path / "joker.mod"
+    path.write_text(JOKER_GENERATORS + "sq 3 x0 = x3\n")
+    for command in (["show", str(path)], ["dual", str(path)]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Sq^3" in captured.err
+
+
 def test_validate_parse_error(tmp_path, capsys):
     path = tmp_path / "junk.mod"
     path.write_text("module x over A(1)\nwhat is this\n")
@@ -211,9 +221,9 @@ def test_environment_output_dir_is_used(tmp_path, monkeypatch, capsys):
 
 
 def test_bad_environment_integer_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("STEEN_DEGREE_CAP", "lots")
+    monkeypatch.setenv("STEEN_T_MAX", "lots")
     assert main(["list"]) == 2
-    assert "STEEN_DEGREE_CAP" in capsys.readouterr().err
+    assert "STEEN_T_MAX" in capsys.readouterr().err
 
 
 def test_environment_guard_violation(monkeypatch, capsys):
@@ -291,4 +301,3 @@ def test_config_env_overrides_and_guards(monkeypatch):
     assert cfg.format == "svg"
     assert config_problems(cfg) == []
     assert any("format" in p for p in config_problems(Config(format="png")))
-    assert any("degree_cap" in p for p in config_problems(Config(degree_cap=0)))

@@ -7,17 +7,24 @@ from itertools import product as iproduct
 
 import pytest
 
-from oracles import adem_expand, oracle_antipode, oracle_product, verschiebung
+from oracles import (
+    FULL_A,
+    adem_expand,
+    coproduct,
+    oracle_antipode,
+    oracle_product,
+    unit,
+    verschiebung,
+)
 from steen.milnor import (
     DEGREE_CAP,
     DegreeCapError,
     Element,
-    FULL_A,
     admissible_words,
     an,
     antipode,
-    coproduct,
     enumerate_basis,
+    full_a,
     generator_expansion,
     milnor_basis,
     milnor_primitive,
@@ -26,7 +33,6 @@ from steen.milnor import (
     sq,
     sq_word,
     to_admissible,
-    unit,
 )
 
 # hand-checked products, frozen; keys are (R, S), values the monomial set
@@ -408,7 +414,7 @@ def test_degree_cap_failures():
         antipode(sq(70))
     # explicit caps widen the window
     assert milnor_product(sq(40), sq(30), cap=70)
-    assert enumerate_basis(FULL_A, 65, cap=70)
+    assert enumerate_basis(full_a(70), 65)
 
 
 def test_generator_expansion_reassembles():

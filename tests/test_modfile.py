@@ -99,6 +99,10 @@ def test_parse_errors():
         ("module m over A\ngen a 0\nsq one a = a\n", "line 3: bad operation 'one'"),
         ("module m over A\ngen a 0\nsq 0 a = a\n", "line 3: bad operation '0'"),
         ("polymodule p\npolygen g x real\n", "line 2: bad degree 'x'"),
+        (
+            "module m over A(1)\ngen a 0\ngen b 0\nsq 1 a = b\n",
+            "line 4: Sq\\^1 a hits b of wrong degree",
+        ),
     ]
     for text, fragment in cases:
         with pytest.raises(ValueError, match=fragment):

@@ -1,9 +1,12 @@
-"""Module layer: quotients, doubling, duals, tensors, isomorphism search."""
+"""Module layer: quotients, doubling, duals, tensors, Hom and isomorphisms."""
 
 from __future__ import annotations
 
 import pytest
 
+from oracles import commutes_with, is_isomorphism, reference_isomorphism
+from steen import module
+from steen.catalogue import MODULE_NAMES, get_module
 from steen.milnor import an, full_a, sq
 from steen.module import (
     FiniteModule,
@@ -13,6 +16,7 @@ from steen.module import (
     dualize,
     extension_enumerate,
     find_isomorphism,
+    hom_basis,
     restrict,
     shift,
     tensor,
@@ -219,9 +223,9 @@ def test_find_isomorphism_deterministic_identity():
     found = find_isomorphism(J, clone)
     assert found is not None
     assert found.rows == (1, 2, 4, 8, 16)
-    assert found.is_isomorphism()
+    assert is_isomorphism(found)
     for k in (1, 2):
-        assert found.commutes_with(k)
+        assert commutes_with(found, k)
 
 
 def test_find_isomorphism_rejects():
@@ -231,3 +235,54 @@ def test_find_isomorphism_rejects():
         find_isomorphism(J, double(J, 1))
     exts = extension_enumerate(joker(), A2)
     assert find_isomorphism(exts[0], exts[1]) is None
+
+
+def test_find_isomorphism_agrees_with_the_brute_force_search():
+    a1 = cyclic_quotient(A1, [], "a1")
+    modules = [get_module(name) for name in MODULE_NAMES]
+    modules += extension_enumerate(a1, full_a())
+    modules += [
+        shift(dualize(get_module(name)), span)
+        for name, span in (("joker0", 4), ("joker(2)0", 8), ("joker(3)0", 16))
+    ]
+    pairs = 0
+    for M in modules:
+        for N in modules:
+            if M.algebra != N.algebra or M.dims() != N.dims():
+                continue
+            pairs += 1
+            found = find_isomorphism(M, N)
+            assert (found is None) == (reference_isomorphism(M, N) is None), (M, N)
+            if found is not None:
+                assert is_isomorphism(found)
+                assert all(commutes_with(found, 1 << e) for e in range(M.span.bit_length()))
+    assert pairs > len(modules)
+
+
+def test_find_isomorphism_past_five_classes_in_a_degree():
+    T = tensor(get_module("joker"), get_module("w2"))
+    assert max(T.dims().values()) == 5
+    assert find_isomorphism(T, T) is not None
+    a1 = cyclic_quotient(A1, [], "a1")
+    assert find_isomorphism(tensor(a1, a1), tensor(a1, a1)) is not None
+
+
+def test_hom_basis_of_the_joker():
+    J = joker()
+    assert len(hom_basis(J, J)) == 1
+    maps = hom_basis(J, J) + hom_basis(question_mark(), J) + hom_basis(J, shift(J, 2))
+    maps += hom_basis(cyclic_quotient(A1, [], "a1"), J)
+    assert len(maps) > 1
+    for f in maps:
+        assert commutes_with(f, 1) and commutes_with(f, 2)
+
+
+def test_find_isomorphism_search_limit(monkeypatch):
+    a1 = cyclic_quotient(A1, [], "a1")
+    T = tensor(a1, a1)
+    monkeypatch.setattr(module, "SEARCH_LIMIT", 4)
+    with pytest.raises(ValueError, match="passed 4 tried sums") as exc:
+        find_isomorphism(T, shift(T, 0, "copy"))
+    message = str(exc.value)
+    assert "\n" not in message
+    assert f"{T.name} -> copy" in message
