@@ -53,16 +53,11 @@ MODULE_NAMES: tuple[str, ...] = (
 )
 
 
-def _named(M: FiniteModule, name: str) -> FiniteModule:
-    M.name = name
-    return M
-
-
-def _pick_extension(M: FiniteModule, k: int, nonzero: bool) -> FiniteModule:
+def _pick_extension(M: FiniteModule, k: int, nonzero: bool, name: str) -> FiniteModule:
     """The unique extension over the whole algebra with Sq^k zero or not."""
     found = [
         ext
-        for ext in extension_enumerate(M, full_a())
+        for ext in extension_enumerate(M, full_a(), name)
         if bool(ext.table(k)[0]) == nonzero
     ]
     if len(found) != 1:
@@ -84,9 +79,9 @@ def _build(name: str) -> FiniteModule:
     if name == "joker":
         return cyclic_quotient(an(1), [sq(3)], "joker")
     if name == "joker0":
-        return _named(_pick_extension(get_module("joker"), 4, False), "joker0")
+        return _pick_extension(get_module("joker"), 4, False, name)
     if name == "joker1":
-        return _named(_pick_extension(get_module("joker"), 4, True), "joker1")
+        return _pick_extension(get_module("joker"), 4, True, name)
     if name.startswith("joker(") and name.endswith(")"):
         n = int(name[6:-1])
         return double(get_module("joker"), n - 1, name)
@@ -96,7 +91,7 @@ def _build(name: str) -> FiniteModule:
     if name == "jokerP":
         return cyclic_quotient(an(1), [sq(2, 1)], "jokerP")
     if name == "jokerP1":
-        return _named(_pick_extension(get_module("jokerP"), 4, True), "jokerP1")
+        return _pick_extension(get_module("jokerP"), 4, True, name)
     if name == "jokerPP1":
         return restrict(shift(dualize(get_module("jokerP1")), 4), an(1), "jokerPP1")
     if name == "joker2P1":

@@ -56,11 +56,7 @@ def _finite(token: str) -> FiniteModule:
 
 
 def _resolution_algebra(spec: str | None, M: FiniteModule) -> Algebra:
-    if spec is not None:
-        return parse_algebra(spec, "--algebra")
-    if M.algebra.n is None:
-        return full_a()
-    return M.algebra
+    return M.algebra if spec is None else parse_algebra(spec, "--algebra")
 
 
 def build_parser() -> argparse.ArgumentParser:

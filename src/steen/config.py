@@ -33,9 +33,13 @@ class Config:
 def from_env(
     base: Config | None = None, environ: Mapping[str, str] | None = None
 ) -> Config:
-    """Apply STEEN_<FIELD> overrides to the base configuration."""
+    """Apply STEEN_<FIELD> overrides; any other STEEN_ variable is an error."""
     cfg = Config() if base is None else base
     env = os.environ if environ is None else environ
+    known = {ENV_PREFIX + f.name.upper() for f in fields(Config)}
+    for key in sorted(env):
+        if key.startswith(ENV_PREFIX) and key not in known:
+            raise ValueError(f"{key}: unknown setting; known: {', '.join(sorted(known))}")
     updates: dict[str, object] = {}
     for f in fields(Config):
         raw = env.get(ENV_PREFIX + f.name.upper())

@@ -18,7 +18,6 @@ from steen.gf2 import Echelon, bits
 __all__ = [
     "Algebra",
     "DEGREE_CAP",
-    "DegreeCapError",
     "Element",
     "Monomial",
     "Word",
@@ -42,19 +41,10 @@ __all__ = [
     "verschiebung_monomial",
 ]
 
-DEGREE_CAP = 64
+DEGREE_CAP = 64  # highest degree of the whole algebra enumerate_basis serves
 
 Monomial = tuple[int, ...]
 Word = tuple[int, ...]
-
-
-class DegreeCapError(ValueError):
-    """Raised when a computation would run past its explicit degree cap."""
-
-
-def _check_cap(degree: int, cap: int) -> None:
-    if degree > cap:
-        raise DegreeCapError(f"degree {degree} exceeds cap {cap}")
 
 
 def normalize(exponents: Iterable[int]) -> Monomial:
@@ -218,22 +208,21 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
     return frozenset(out)
 
 
-def milnor_product(a: Element, b: Element, cap: int = DEGREE_CAP) -> Element:
+def milnor_product(a: Element, b: Element) -> Element:
     """Product in the Milnor basis, exact mod 2."""
     acc: set[Monomial] = set()
     for r in a.monomials:
         for s in b.monomials:
-            _check_cap(mono_degree(r) + mono_degree(s), cap)
             for t in _product_monomials(r, s):
                 _toggle(acc, t)
     return Element.from_set(frozenset(acc))
 
 
-def sq_word(ks: Iterable[int], cap: int = DEGREE_CAP) -> Element:
+def sq_word(ks: Iterable[int]) -> Element:
     """Product Sq^{k1} Sq^{k2} ... of the listed squares."""
     acc = UNIT
     for k in ks:
-        acc = milnor_product(acc, sq(k), cap=cap)
+        acc = milnor_product(acc, sq(k))
     return acc
 
 
@@ -281,13 +270,12 @@ def _admissible_data(d: int) -> tuple[tuple[Word, ...], Echelon, dict[Monomial, 
     return words, ech, index
 
 
-def to_admissible(a: Element, cap: int = DEGREE_CAP) -> tuple[Word, ...]:
+def to_admissible(a: Element) -> tuple[Word, ...]:
     """Rewrite an element as a sorted tuple of admissible words Sq^{k1}..Sq^{kl}."""
     chosen: set[Word] = set()
     by_degree: dict[int, int] = {}
     for m in a.monomials:
         d = mono_degree(m)
-        _check_cap(d, cap)
         words, ech, index = _admissible_data(d)
         by_degree.setdefault(d, 0)
         by_degree[d] ^= 1 << index[m]
@@ -319,7 +307,7 @@ def _antipode_mono(m: Monomial) -> frozenset[Monomial]:
     if not m:
         return frozenset({()})
     acc: set[Monomial] = set()
-    for word in to_admissible(Element.from_set(frozenset({m})), cap=mono_degree(m)):
+    for word in to_admissible(Element.from_set(frozenset({m}))):
         # anti-homomorphism: chi(Sq^{k1}..Sq^{kl}) = chi(Sq^{kl})..chi(Sq^{k1})
         term = frozenset({()})
         for k in reversed(word):
@@ -334,11 +322,10 @@ def _antipode_mono(m: Monomial) -> frozenset[Monomial]:
     return frozenset(acc)
 
 
-def antipode(a: Element, cap: int = DEGREE_CAP) -> Element:
+def antipode(a: Element) -> Element:
     """The canonical anti-automorphism chi, exact in the Milnor basis."""
     acc: set[Monomial] = set()
     for m in a.monomials:
-        _check_cap(mono_degree(m), cap)
         for t in _antipode_mono(m):
             _toggle(acc, t)
     return Element.from_set(frozenset(acc))
@@ -349,14 +336,13 @@ def antipode(a: Element, cap: int = DEGREE_CAP) -> Element:
 
 @dataclass(frozen=True)
 class Algebra:
-    """The whole algebra (n is None, enumeration capped) or the subalgebra A(n).
+    """The whole algebra A (n is None) or the subalgebra A(n), by its profile.
 
     A(n) is spanned by the Sq(r1,...,rl) with l <= n+1 and r_i < 2^(n+2-i);
     Sq^k lies in A(n) exactly when k < 2^(n+1).
     """
 
     n: int | None = None
-    cap: int = DEGREE_CAP
 
     @property
     def name(self) -> str:
@@ -364,9 +350,9 @@ class Algebra:
 
     @property
     def top_degree(self) -> int:
-        """Degree of the top class of A(n); the cap for the whole algebra."""
+        """Degree of the top class of A(n); the whole algebra has none."""
         if self.n is None:
-            return self.cap
+            raise ValueError("A has no top class")
         return sum(
             ((1 << (self.n + 2 - i)) - 1) * ((1 << i) - 1)
             for i in range(1, self.n + 2)
@@ -397,8 +383,8 @@ def an(n: int) -> Algebra:
     return Algebra(n=n)
 
 
-def full_a(cap: int = DEGREE_CAP) -> Algebra:
-    return Algebra(cap=cap)
+def full_a() -> Algebra:
+    return Algebra()
 
 
 @lru_cache(maxsize=None)
@@ -458,7 +444,8 @@ def enumerate_basis(algebra: Algebra, d: int) -> tuple[Monomial, ...]:
     if d < 0:
         return ()
     if algebra.n is None:
-        _check_cap(d, algebra.cap)
+        if d > DEGREE_CAP:
+            raise ValueError(f"degree {d} exceeds cap {DEGREE_CAP}")
         return milnor_basis(d)
     return _an_basis(algebra.n, d)
 
@@ -516,26 +503,22 @@ def _expansion_table(
     algebra: Algebra, d: int
 ) -> dict[Monomial, tuple[tuple[int, Monomial], ...]]:
     """Each degree-d basis monomial as a sum of Sq(2^e) * (lower monomial)."""
-    basis = enumerate_basis(algebra, d)
-    index = {m: i for i, m in enumerate(basis)}
     spanning: list[tuple[int, Monomial]] = []
     ech = Echelon()
     for e in algebra.generator_exponents(d):
-        for m2 in enumerate_basis(algebra, d - (1 << e)):
-            vec = 0
-            for t in _product_monomials(((1 << e),), m2):
-                # products of subalgebra elements stay in the subalgebra
-                vec ^= 1 << index[t]
+        lower = d - (1 << e)
+        columns = generator_matrix(algebra, e, lower)
+        for m2, vec in zip(enumerate_basis(algebra, lower), columns):
             ech.add(vec, 1 << len(spanning))
             spanning.append((e, m2))
     table: dict[Monomial, tuple[tuple[int, Monomial], ...]] = {}
-    for m in basis:
-        residual, combo = ech.reduce(1 << index[m])
+    for i, m in enumerate(enumerate_basis(algebra, d)):
+        residual, combo = ech.reduce(1 << i)
         if residual:
             raise ArithmeticError(
                 f"{mono_str(m)} is not in the span of Sq(2^e) {algebra.name}"
             )
-        table[m] = tuple(spanning[i] for i in bits(combo))
+        table[m] = tuple(spanning[c] for c in bits(combo))
     return table
 
 

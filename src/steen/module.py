@@ -1,4 +1,4 @@
-"""Finite modules over A(n) or a degree-capped piece of the whole algebra.
+"""Finite modules over the whole Steenrod algebra A or a subalgebra A(n).
 
 A module stores named basis elements with degrees and the action tables of
 the generators Sq(2^e) of its algebra; nothing else acts directly.  Every
@@ -24,7 +24,6 @@ from functools import cached_property
 
 from steen.gf2 import Echelon, bits, kernel, rank
 from steen.milnor import (
-    DEGREE_CAP,
     Algebra,
     Element,
     Monomial,
@@ -142,7 +141,13 @@ class FiniteModule:
 
     @cached_property
     def tables(self) -> dict[int, tuple[int, ...]]:
-        """Every nonzero Sq^k table, k in algebra_ks(), derived by the action."""
+        """Every nonzero Sq^k table, k in algebra_ks(), derived by the action.
+
+        A double along v^(k) takes the Sq^j table of its base as Sq^(2^k j).
+        """
+        if self.vsource is not None:
+            base, k = self.vsource
+            return {j << k: t for j, t in base.tables.items()}
         out = {}
         for k in self.algebra_ks():
             table = tuple(self._act_basis((k,), i) for i in range(self.dim))
@@ -247,12 +252,11 @@ class FiniteModule:
     def _validate_associativity(self) -> list[str]:
         problems = []
         span = self.span
-        cap = max(DEGREE_CAP, 2 * span)
         for da in range(1, span):
             for a in enumerate_basis(self.algebra, da):
                 for db in range(1, span - da + 1):
                     for b in enumerate_basis(self.algebra, db):
-                        ab = milnor_product(sq(*a), sq(*b), cap=cap)
+                        ab = milnor_product(sq(*a), sq(*b))
                         for i in range(self.dim):
                             if self.degrees[i] + da + db > self.top:
                                 continue
@@ -302,7 +306,7 @@ def dualize(M: FiniteModule, name: str | None = None) -> FiniteModule:
         return double(dualize(base), k, name=name)
     tables: dict[int, tuple[int, ...]] = {}
     for k in _generator_ks(M.algebra, M.span):
-        chi = antipode(sq(k), cap=max(DEGREE_CAP, M.span))
+        chi = antipode(sq(k))
         rows = [0] * M.dim
         for j in range(M.dim):
             for i in bits(M.act(chi, 1 << j)):
@@ -430,7 +434,7 @@ def cyclic_quotient(
             if dr > d:
                 continue
             for b in enumerate_basis(algebra, d - dr):
-                image = milnor_product(sq(*b), rel, cap=max(DEGREE_CAP, top))
+                image = milnor_product(sq(*b), rel)
                 vec = 0
                 for t in image.monomials:
                     vec ^= 1 << index[d][t]
@@ -469,7 +473,7 @@ def cyclic_quotient(
         for i, (d, m) in enumerate(reps):
             if d + k > span:
                 continue
-            image = milnor_product(sq(k), sq(*m), cap=max(DEGREE_CAP, top))
+            image = milnor_product(sq(k), sq(*m))
             vec = 0
             for t in image.monomials:
                 vec ^= 1 << index[d + k][t]
@@ -478,12 +482,15 @@ def cyclic_quotient(
     return FiniteModule(name, algebra, tuple(ids), degrees, tables)
 
 
-def extension_enumerate(M: FiniteModule, target: Algebra) -> list[FiniteModule]:
+def extension_enumerate(
+    M: FiniteModule, target: Algebra, name: str | None = None
+) -> list[FiniteModule]:
     """All ways to extend M's action to the larger algebra, up to table choice.
 
     Only the new generator tables Sq(2^e) are free; composite squares follow
     from them.  Candidates are filtered by a full validate, and returned in
-    the deterministic order of their bit patterns.
+    the deterministic order of their bit patterns, each named name or
+    M.name~pattern.
     """
     span = M.span
     for k in range(1, span + 1):
@@ -508,7 +515,8 @@ def extension_enumerate(M: FiniteModule, target: Algebra) -> list[FiniteModule]:
                 pos += 1
         tables = M.generator_tables
         tables.update((k, tuple(rows)) for k, rows in new_tables.items())
-        candidate = FiniteModule(f"{M.name}~{pattern}", target, M.gens, M.degrees, tables)
+        label = name or f"{M.name}~{pattern}"
+        candidate = FiniteModule(label, target, M.gens, M.degrees, tables)
         if not candidate.validate():
             out.append(candidate)
     return out

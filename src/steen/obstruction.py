@@ -104,7 +104,7 @@ def _alpha_vanishes(M: FiniteModule, alpha_degree: int, phi_degree: int) -> bool
         return True
     candidates = [
         tuple(r << e for r in m)
-        for m in enumerate_basis(full_a(alpha_degree >> e), alpha_degree >> e)
+        for m in enumerate_basis(full_a(), alpha_degree >> e)
     ]
     for idx in M.basis_at(phi_degree):
         for mono in candidates:
@@ -127,7 +127,7 @@ def obstruction_report(n: int) -> ObstructionReport:
         alpha_degree = (1 << (k + 1)) - (1 << i) - (1 << j) + 1
         # equal counts mean the full algebra and A(n) share this degree,
         # so acting through the tower is the only possible action
-        gate_ok = basis_count(full_a(alpha_degree), alpha_degree) == basis_count(
+        gate_ok = basis_count(full_a(), alpha_degree) == basis_count(
             M.algebra, alpha_degree
         )
         if not gate_ok:

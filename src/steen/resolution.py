@@ -31,7 +31,6 @@ from steen.milnor import (
     Monomial,
     enumerate_basis,
     expansion_positions,
-    full_a,
     generator_matrix,
     milnor_product,
     mono_str,
@@ -205,11 +204,6 @@ def minimal_resolution(
         problems = M.validate()
         if problems:
             raise ValueError(problems[0])
-    if algebra.n is None:
-        # a finite horizon keeps full-A basis enumeration bounded; minimal
-        # generators in degree t only depend on lower degrees, so this is
-        # exact inside the window
-        algebra = full_a(t_max + max(M.top, 0))
 
     res = Resolution(algebra, M, s_max, t_max)
 
@@ -291,7 +285,7 @@ def resolution_checks(R: Resolution) -> list[str]:
                 acc: dict[int, Element] = {}
                 for j, e in entry.items():
                     for j2, e2 in R.diffs[s - 1][j].items():
-                        prod = milnor_product(e, e2, cap=R.algebra.cap)
+                        prod = milnor_product(e, e2)
                         acc[j2] = acc.get(j2, Element()) + prod
                 for j2, total in acc.items():
                     if total:

@@ -28,7 +28,6 @@ class PolyModule:
     name: str
     generators: tuple[tuple[str, int, str], ...]
     relations: tuple[Exponents, ...] = ()
-    degree_cap: int = DEGREE_CAP
 
     def __post_init__(self) -> None:
         names = [g for g, _, _ in self.generators]
@@ -168,8 +167,8 @@ def wu_action(P: PolyModule, r: int, m: Exponents) -> frozenset[Exponents]:
         raise ValueError(f"{P.name}: bad monomial {m}")
     if r < 0:
         raise ValueError(f"negative square Sq^{r}")
-    if P.degree(m) + r > P.degree_cap:
-        raise ValueError(f"{P.name}: degree {P.degree(m) + r} exceeds cap {P.degree_cap}")
+    if P.degree(m) + r > DEGREE_CAP:
+        raise ValueError(f"{P.name}: degree {P.degree(m) + r} exceeds cap {DEGREE_CAP}")
     return _wu(P, r, m)
 
 
@@ -184,14 +183,14 @@ def bsu3() -> PolyModule:
 
 
 def truncate_quotient(
-    P: PolyModule, algebra: Algebra, cap: int, name: str | None = None
+    P: PolyModule, algebra: Algebra, top: int, name: str | None = None
 ) -> FiniteModule:
-    """The positive-degree quotient by the relation ideal, truncated at cap."""
-    if not 1 <= cap <= P.degree_cap:
-        raise ValueError(f"cap {cap} outside 1..{P.degree_cap}")
+    """The positive-degree quotient by the relation ideal, truncated above top."""
+    if not 1 <= top <= DEGREE_CAP:
+        raise ValueError(f"cap {top} outside 1..{DEGREE_CAP}")
     for rel in P.relations:
         base = P.degree(rel)
-        for k in range(1, cap - base + 1):
+        for k in range(1, top - base + 1):
             for m in _wu(P, k, rel):
                 if not P.reducible(m):
                     raise ValueError(
@@ -200,7 +199,7 @@ def truncate_quotient(
                     )
     basis: list[Exponents] = []
     degrees: list[int] = []
-    for d in range(1, cap + 1):
+    for d in range(1, top + 1):
         for m in P.monomials(d):
             basis.append(m)
             degrees.append(d)
@@ -213,14 +212,14 @@ def truncate_quotient(
         rows = []
         for m, d in zip(basis, degrees):
             row = 0
-            if d + k <= cap:
+            if d + k <= top:
                 for mm in _wu(P, k, m):
                     if not P.reducible(mm):
                         row |= 1 << index[mm]
             rows.append(row)
         tables[k] = tuple(rows)
     rels = "+".join(map(P.mono_str, P.relations))
-    label = name or (f"{P.name}/({rels})@{cap}" if rels else f"{P.name}@{cap}")
+    label = name or (f"{P.name}/({rels})@{top}" if rels else f"{P.name}@{top}")
     M = FiniteModule(label, algebra, tuple(map(P.mono_str, basis)), tuple(degrees), tables)
     problems = M.validate()
     if problems:

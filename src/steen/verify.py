@@ -85,7 +85,7 @@ def run_all(write: Callable[[str], None] = print) -> bool:
 
 @lru_cache(maxsize=None)
 def _sphere_resolution() -> Resolution:
-    A = full_a(32)
+    A = full_a()
     return minimal_resolution(A, trivial_module(A, name="S"), 12, 32)
 
 

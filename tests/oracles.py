@@ -460,10 +460,10 @@ def reference_isomorphism(M, N) -> ModuleMap | None:
 # -- minimal resolutions through general Milnor products ----------------------
 
 
-def _mono_times(m, e, cap):
+def _mono_times(m, e):
     if not m:
         return e.monomials
-    return milnor_product(sq(*m), e, cap=cap).monomials
+    return milnor_product(sq(*m), e).monomials
 
 
 def reference_resolution(algebra, M, s_max, t_max):
@@ -474,9 +474,6 @@ def reference_resolution(algebra, M, s_max, t_max):
     """
     if algebra.n is not None and M.algebra.n is None:
         M = restrict(M, algebra)
-    if algebra.n is None:
-        algebra = full_a(t_max + max(M.top, 0))
-    cap = algebra.cap
     res = Resolution(algebra, M, s_max, t_max)
 
     degrees0, values0 = [], []
@@ -521,7 +518,7 @@ def reference_resolution(algebra, M, s_max, t_max):
                         cols.append((j, m))
                         vec = 0
                         for j2, e in res.diffs[s - 1][j].items():
-                            for mm in _mono_times(m, e, cap):
+                            for mm in _mono_times(m, e):
                                 vec ^= 1 << pos[(j2, mm)]
                         vecs.append(vec)
             combos = kernel(vecs)
@@ -533,7 +530,7 @@ def reference_resolution(algebra, M, s_max, t_max):
                 for x in enumerate_basis(algebra, t - ta):
                     vec = 0
                     for j, e in diffs_s[a].items():
-                        for mm in _mono_times(x, e, cap):
+                        for mm in _mono_times(x, e):
                             vec ^= 1 << colpos[(j, mm)]
                     span.add(vec)
             for combo in combos:
@@ -573,7 +570,7 @@ def differential_rank(R, s, t):
     for a, m in free_basis(R, s, t):
         vec = 0
         for j, e in R.diffs[s][a].items():
-            for mm in milnor_product(sq(*m), e, cap=R.algebra.cap).monomials:
+            for mm in milnor_product(sq(*m), e).monomials:
                 vec ^= 1 << pos[(j, mm)]
         rows.append(vec)
     return rank(rows)

@@ -148,6 +148,11 @@ def test_dual_and_double_and_tensor(capsys):
     assert "gen x0x0 0" in capsys.readouterr().out
 
 
+def test_double_takes_its_tables_from_the_base(capsys):
+    assert main(["double", "joker", "30"]) == 0
+    assert "sq 1073741824 x0 = x1" in capsys.readouterr().out.splitlines()
+
+
 def test_double_rejects_negative_k(capsys):
     assert main(["double", "joker", "-1"]) == 2
     assert "nonnegative" in capsys.readouterr().err
@@ -163,6 +168,16 @@ def test_resolve_prints_differentials(capsys):
 def test_resolve_bound_guard(capsys):
     assert main(["resolve", "joker", "--smax", "99", "--tmax", "12"]) == 2
     assert "s_max" in capsys.readouterr().err
+
+
+def test_resolve_a_module_in_negative_degrees(tmp_path, capsys):
+    assert main(["dual", "joker0"]) == 0
+    path = tmp_path / "d.txt"
+    path.write_text(capsys.readouterr().out)
+    assert main(["resolve", str(path), "--smax", "2", "--tmax", "20"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "d 0 g0_0 = x4'" in captured.out
 
 
 def test_resolve_algebra_mismatch(capsys):
@@ -224,6 +239,15 @@ def test_bad_environment_integer_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("STEEN_T_MAX", "lots")
     assert main(["list"]) == 2
     assert "STEEN_T_MAX" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable", ["STEEN_TMAX", "STEEN_DEGREE_CAP"])
+def test_unknown_environment_variable_is_a_usage_error(monkeypatch, capsys, variable):
+    monkeypatch.setenv(variable, "5")
+    assert main(["resolve", "joker", "--smax", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"steen: {variable}: unknown setting")
+    assert err.count("\n") == 1
 
 
 def test_environment_guard_violation(monkeypatch, capsys):

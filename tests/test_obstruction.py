@@ -78,7 +78,7 @@ def test_report_for_n4_term_by_term():
 def test_n4_alpha_sweep_by_hand():
     # the only term with module classes sits in degree 16; every degree-8
     # element must kill it, and only Sq(8) survives the Verschiebung
-    basis8 = enumerate_basis(full_a(8), 8)
+    basis8 = enumerate_basis(full_a(), 8)
     assert basis8 == ((1, 0, 1), (2, 2), (5, 1), (8,))
     M = double(get_module("joker"), 3)
     (x2,) = M.basis_at(16)

@@ -9,7 +9,7 @@ from functools import lru_cache
 from oracles import differential_rank, free_basis, oracle_ext_a1, reference_resolution
 from steen.catalogue import get_module
 from steen.milnor import an, full_a
-from steen.module import FiniteModule, trivial_module
+from steen.module import FiniteModule, dualize, trivial_module
 from steen.resolution import (
     dump_resolution,
     emit_chart,
@@ -56,7 +56,7 @@ def test_presentation_degrees():
 
 
 def test_full_algebra_first_relation():
-    R = minimal_resolution(full_a(8), sphere(full_a(8)), 1, 1)
+    R = minimal_resolution(full_a(), sphere(full_a()), 1, 1)
     assert R.degrees[0] == [0]
     assert R.degrees[1] == [1]
 
@@ -73,7 +73,7 @@ def test_resource_guards():
     with pytest.raises(ValueError):
         minimal_resolution(an(1), S, 2, 41)
     with pytest.raises(ValueError):
-        minimal_resolution(full_a(10), get_module("joker"), 1, 10)
+        minimal_resolution(full_a(), get_module("joker"), 1, 10)
 
 
 def test_rejects_invalid_module():
@@ -89,7 +89,7 @@ def test_differentials_compose_to_zero():
     for R in (
         minimal_resolution(an(1), get_module("joker"), 4, 14),
         minimal_resolution(an(1), sphere(an(1)), 6, 14),
-        minimal_resolution(full_a(12), sphere(full_a(12)), 4, 12),
+        minimal_resolution(full_a(), sphere(full_a()), 4, 12),
         minimal_resolution(an(2), get_module("joker(2)"), 3, 16),
     ):
         assert resolution_checks(R) == []
@@ -127,7 +127,7 @@ def test_a1_sphere_is_the_ko_pattern():
 
 
 def test_sphere_chart_matches_golden_dots():
-    R = minimal_resolution(full_a(32), sphere(full_a(40)), 12, 32)
+    R = minimal_resolution(full_a(), sphere(full_a()), 12, 32)
     C = ext_chart(R)
     window = {
         (s, t - s): r for (s, t), r in C.ranks.items() if 0 <= t - s <= 20
@@ -183,7 +183,7 @@ def test_chart_svg_golden():
 
 
 def test_sphere_text_row_marks():
-    R = minimal_resolution(full_a(22), sphere(full_a(22)), 2, 22)
+    R = minimal_resolution(full_a(), sphere(full_a()), 2, 22)
     text = emit_chart(ext_chart(R), "text").decode()
     row1 = next(line for line in text.splitlines() if line.startswith("  1"))
     cells = row1[3:]
@@ -231,13 +231,18 @@ CASES = {
     "A(1) sphere": (an(1), None, 8, 24),
     "A(2) joker(2)": (an(2), "joker(2)", 6, 24),
     "A(3) joker(3)": (an(3), "joker(3)", 5, 28),
-    "A sphere": (full_a(32), None, 12, 32),
-    "A joker0": (full_a(24), "joker0", 6, 24),
+    "A sphere": (full_a(), None, 12, 32),
+    "A joker0": (full_a(), "joker0", 6, 24),
+    "A D(joker0)": (full_a(), "D(joker0)", 5, 20),
 }
 
 
 def _module(algebra, name):
-    return sphere(algebra) if name is None else get_module(name)
+    if name is None:
+        return sphere(algebra)
+    if name.startswith("D("):
+        return dualize(get_module(name[2:-1]))
+    return get_module(name)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import oracle_power_basis_count, oracle_wu_bso3
 from steen.catalogue import get_module
-from steen.milnor import an, full_a
+from steen.milnor import DEGREE_CAP, an, full_a
 from steen.module import double, find_isomorphism, shift
 from steen.unstable import (
     PolyModule,
@@ -97,9 +97,10 @@ def test_unit_and_zero_squares():
 
 
 def test_wu_argument_errors():
-    P = PolyModule("tiny", (("w2", 2, "real"),), degree_cap=5)
+    P = PolyModule("tiny", (("w2", 2, "real"),))
+    assert wu_action(P, DEGREE_CAP - 2, (1,)) == frozenset()
     with pytest.raises(ValueError, match="exceeds cap"):
-        wu_action(P, 4, (1,))
+        wu_action(P, DEGREE_CAP - 1, (1,))
     with pytest.raises(ValueError, match="negative"):
         wu_action(bso3(), -1, (1, 0))
     with pytest.raises(ValueError, match="bad monomial"):
