@@ -15,12 +15,18 @@ from pathlib import Path
 from typing import Sequence
 
 from steen.catalogue import MODULE_NAMES, get_module
-from steen.config import Config, config_problems, from_env
+from steen.config import T_MAX_DEFAULT, Config, config_problems, from_env
 from steen.milnor import Algebra, full_a
 from steen.modfile import load, parse_algebra, serialize
 from steen.module import FiniteModule, double, dualize, shift, tensor
 from steen.obstruction import format_report, obstruction_report, report_lines
-from steen.resolution import ext_chart, emit_chart, dump_resolution, minimal_resolution
+from steen.resolution import (
+    T_MAX_LIMIT,
+    dump_resolution,
+    emit_chart,
+    ext_chart,
+    minimal_resolution,
+)
 from steen.unstable import PolyModule, bso3, bsu3, compare_range, truncate_quotient
 from steen.verify import run_all
 
@@ -59,6 +65,9 @@ def _resolution_algebra(spec: str | None, M: FiniteModule) -> Algebra:
     return M.algebra if spec is None else parse_algebra(spec, "--algebra")
 
 
+_TMAX_HELP = f"internal-degree bound (default {T_MAX_DEFAULT}, at most {T_MAX_LIMIT})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steen",
@@ -90,13 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module")
     p.add_argument("--algebra", help="A or A(n); default: the module's own")
     p.add_argument("--smax", type=int, help="homological bound")
-    p.add_argument("--tmax", type=int, help="internal-degree bound")
+    p.add_argument("--tmax", type=int, help=_TMAX_HELP)
 
     p = sub.add_parser("chart", help="Ext chart from a minimal resolution")
     p.add_argument("module")
     p.add_argument("--algebra", help="A or A(n); default: the module's own")
-    p.add_argument("--smax", type=int)
-    p.add_argument("--tmax", type=int)
+    p.add_argument("--smax", type=int, help="homological bound")
+    p.add_argument("--tmax", type=int, help=_TMAX_HELP)
     p.add_argument("--out", help="write under output_dir instead of stdout")
     p.add_argument("--format", choices=("text", "svg"))
 

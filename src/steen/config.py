@@ -1,8 +1,10 @@
 """Runtime configuration shared by the CLI subcommands.
 
-Defaults sit at the resource guards of the underlying engines.  Environment
-variables with the STEEN_ prefix override the defaults and explicit flags
-override the environment.
+The default s_max sits at the resolver's guard S_MAX_LIMIT.  The default
+t_max is T_MAX_DEFAULT, below the guard T_MAX_LIMIT, so a chart drawn with
+the defaults keeps its range when the guard moves.  Environment variables
+with the STEEN_ prefix override the defaults and explicit flags override the
+environment.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from typing import Mapping
 
 from steen.resolution import S_MAX_LIMIT, T_MAX_LIMIT
 
-__all__ = ["Config", "ENV_PREFIX", "config_problems", "from_env"]
+__all__ = ["Config", "ENV_PREFIX", "T_MAX_DEFAULT", "config_problems", "from_env"]
 
 ENV_PREFIX = "STEEN_"
+T_MAX_DEFAULT = 40
 
 _INT_FIELDS = frozenset({"s_max", "t_max"})
 
@@ -25,7 +28,7 @@ class Config:
     """Knobs for the CLI: resolution window, output plumbing."""
 
     s_max: int = S_MAX_LIMIT
-    t_max: int = T_MAX_LIMIT
+    t_max: int = T_MAX_DEFAULT
     output_dir: str = "."
     format: str = "text"
 

@@ -21,14 +21,19 @@ class Echelon:
     Rows are int bitsets (bit j = column j).  Each inserted row may carry a
     tag bitset; reduce() reports membership as an XOR of tags, which is how
     callers recover kernel combinations and solutions.
+
+    Each row's pivot is its lowest set bit, and no row has another row's
+    pivot set.  So the rows that act on a vector are exactly those whose
+    pivots it has set, and `_mask`, the OR of all pivots, picks them out:
+    XORing one of them clears its own pivot and leaves the others alone.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_mask")
 
     def __init__(self) -> None:
-        # pivot bit -> (row, tag); rows are mutually reduced, so a single
-        # sweep in any order is a complete reduction
+        # pivot bit -> (row, tag)
         self._rows: dict[int, tuple[int, int]] = {}
+        self._mask = 0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -43,25 +48,32 @@ class Echelon:
         Returns (residual, combo): residual is 0 exactly when vec lies in
         the row space, and combo is tag XORed with the tags of the rows used.
         """
-        for pivot, (row, rtag) in self._rows.items():
-            if vec & pivot:
-                vec ^= row
-                tag ^= rtag
+        rows = self._rows
+        hits = vec & self._mask
+        while hits:
+            pivot = hits & -hits
+            row, rtag = rows[pivot]
+            vec ^= row
+            tag ^= rtag
+            hits ^= pivot
         return vec, tag
 
     def add(self, vec: int, tag: int = 0) -> tuple[int, int]:
         """Insert vec if independent of the stored rows.
 
         Returns reduce(vec, tag).  A zero residual means vec was dependent
-        and nothing was inserted.
+        and nothing was inserted.  The new row is cleared from the pivots of
+        the old ones, and its pivot from theirs, so the rows stay reduced.
         """
         vec, tag = self.reduce(vec, tag)
         if vec:
             pivot = vec & -vec
-            for p, (row, rtag) in self._rows.items():
+            rows = self._rows
+            for p, (row, rtag) in rows.items():
                 if row & pivot:
-                    self._rows[p] = (row ^ vec, rtag ^ tag)
-            self._rows[pivot] = (vec, tag)
+                    rows[p] = (row ^ vec, rtag ^ tag)
+            rows[pivot] = (vec, tag)
+            self._mask |= pivot
         return vec, tag
 
     def pivots(self) -> list[int]:

@@ -36,7 +36,6 @@ __all__ = [
     "parse",
     "parse_algebra",
     "parse_json",
-    "save",
     "serialize",
     "serialize_json",
 ]
@@ -252,12 +251,6 @@ def parse_json(text: str) -> FiniteModule:
                 table[i] ^= 1 << j
         tables[int(k)] = tuple(table)
     return FiniteModule(name, algebra, gens, degrees, tables)
-
-
-def save(M: FiniteModule, path: str | Path) -> None:
-    path = Path(path)
-    text = serialize_json(M) if path.suffix == ".json" else serialize(M)
-    path.write_text(text)
 
 
 def load(path: str | Path):

@@ -9,9 +9,16 @@ Sq(x) = sum Sq(2^e) Sq(x') gives
     d_s(Sq(x) g_a) = sum Sq(2^e) d_s(Sq(x') g_a),
 
 so each column is a sum of lower-degree columns pushed through the matrices
-of Sq(2^e), and no general Milnor product is taken.  The columns of d_s found
-while choosing the generators of C_s at (s, t) are exactly the vectors whose
-kernel gives the cycles at (s+1, t), so they are computed once.
+of Sq(2^e), and no general Milnor product is taken.
+
+Each set of degree-t columns of d_s goes through one elimination.  Column i
+enters the echelon with tag 1 << i, so every dependent column leaves a combo
+in the kernel of d_s: these combos are the cycles at (s+1, t), and only
+stage 1 computes a kernel on its own (of the action on M).  They are the
+combos a separate kernel of all degree-t columns would give, since the
+generators of C_s added at t come last in block order and are independent
+of the columns before them.  The rows stay fully reduced, so reducing a
+vector needs only the rows whose pivots it has set.
 
 Each column is the same element in the same basis as a direct product
 Sq(x) * d_s(g_a) would give, so the kernel combinations, the chosen
@@ -26,6 +33,7 @@ from dataclasses import dataclass, field
 
 from steen.gf2 import Echelon, bits, kernel
 from steen.milnor import (
+    DEGREE_CAP,
     Algebra,
     Element,
     Monomial,
@@ -50,7 +58,7 @@ __all__ = [
 ]
 
 S_MAX_LIMIT = 16
-T_MAX_LIMIT = 40
+T_MAX_LIMIT = DEGREE_CAP
 
 # free-module entries: target generator index -> element of the algebra
 Entry = dict[int, Element]
@@ -225,10 +233,18 @@ def minimal_resolution(
     res.values = values0
     res.diffs.append([])
 
-    # d_(s-1): its degree-t columns spanned the boundaries at (s-1, t) and
-    # are the vectors whose kernel gives the cycles at (s, t); stage 1 acts
-    # on M instead
-    previous: _Differential | None = None
+    # cycles[t]: the cycles of C_(s-1) in degree t, as combos over its
+    # block-ordered basis.  Stage 1 takes them from the action on M; after
+    # that they are the dependent combos of the tagged elimination of d_(s-1)
+    # at (s-1, t)
+    cycles: dict[int, list[int]] = {}
+    for t in range(min(degrees0, default=t_max + 1), t_max + 1):
+        cycles[t] = kernel([
+            M.act_mono(m, values0[j])
+            for j, tj in enumerate(degrees0)
+            if tj <= t
+            for m in enumerate_basis(algebra, t - tj)
+        ])
     for s in range(1, s_max + 1):
         prev = res.degrees[s - 1]
         if not prev:
@@ -238,22 +254,18 @@ def minimal_resolution(
         target = _FreeModule(algebra, prev)
         d = _Differential(target)
         diffs_s: list[Entry] = []
+        following: dict[int, list[int]] = {}
         for t in range(min(prev), t_max + 1):
-            if previous is None:
-                vecs = [
-                    M.act_mono(m, res.values[j])
-                    for j, tj in enumerate(prev)
-                    if tj <= t
-                    for m in enumerate_basis(algebra, t - tj)
-                ]
-            else:
-                vecs = previous.columns(t)
-            combos = kernel(vecs)
-            if not combos:
+            combos = cycles[t]
+            if s == s_max and not combos:
                 continue
             span = Echelon()
-            for vec in d.columns(t):
-                span.add(vec)
+            kept: list[int] = []
+            for i, vec in enumerate(d.columns(t)):
+                residual, combo = span.add(vec, 1 << i)
+                if not residual:
+                    kept.append(combo)
+            following[t] = kept
             for combo in combos:
                 residual = span.add(combo)[0]
                 if residual:
@@ -261,7 +273,7 @@ def minimal_resolution(
                     diffs_s.append(target.element(t, residual))
         res.degrees.append(d.degrees)
         res.diffs.append(diffs_s)
-        previous = d
+        cycles = following
     return res
 
 

@@ -8,11 +8,15 @@ throughout; no package internals beyond basic GF(2) rank.  The exceptions are
 thin lifts of package primitives that only the tests need (`solve`,
 `echelon_contains` and `echelon_rows` over `Echelon`, `verschiebung` over
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
-`unit`, and `apply`, `is_isomorphism` and `commutes_with` on module maps), and
-two reference routes: the resolver, which rebuilds minimal resolutions column
-by column from general Milnor products instead of the package's Sq(2^e)
-recurrence, and `reference_isomorphism`, which walks every invertible matrix in
-each degree instead of searching the Hom basis.
+`unit`, `save` over the serializers, and `apply`, `is_isomorphism` and
+`commutes_with` on module maps), and four reference routes: the resolver,
+which rebuilds minimal resolutions column by column from general Milnor
+products instead of the package's Sq(2^e) recurrence;
+`reference_isomorphism`, which walks every invertible matrix in each degree
+instead of searching the Hom basis; `RowWalkingEchelon`, whose reduce walks
+every stored row instead of the pivots set in the vector; and
+`all_pairs_associativity`, which checks (ab)x = a(bx) for every pair of basis
+monomials instead of only a = Sq(2^e).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from steen.milnor import (
     sq,
     verschiebung_monomial,
 )
+from steen.modfile import serialize, serialize_json
 from steen.module import ModuleMap, restrict
 from steen.resolution import Resolution
 
@@ -289,6 +294,12 @@ def verschiebung(k: int, a: Element) -> Element:
     return Element(acc)
 
 
+def save(M, path) -> None:
+    """Write M as a module file: JSON for a .json suffix, text otherwise."""
+    text = serialize_json(M) if path.suffix == ".json" else serialize(M)
+    path.write_text(text)
+
+
 def echelon_contains(ech: Echelon, vec: int) -> bool:
     return ech.reduce(vec)[0] == 0
 
@@ -296,6 +307,52 @@ def echelon_contains(ech: Echelon, vec: int) -> bool:
 def echelon_rows(ech: Echelon) -> list[int]:
     """The reduced rows, sorted by pivot column."""
     return [row for _, (row, _) in sorted(ech._rows.items())]
+
+
+class RowWalkingEchelon:
+    """Reference for `Echelon`: reduce walks every stored row in turn.
+
+    The rows are kept reduced by the same back-substitution, so a row acts
+    exactly when its pivot is set in the vector at its turn.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[int, tuple[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: int, tag: int = 0) -> tuple[int, int]:
+        for pivot, (row, rtag) in self.rows.items():
+            if vec & pivot:
+                vec ^= row
+                tag ^= rtag
+        return vec, tag
+
+    def add(self, vec: int, tag: int = 0) -> tuple[int, int]:
+        vec, tag = self.reduce(vec, tag)
+        if vec:
+            pivot = vec & -vec
+            for p, (row, rtag) in self.rows.items():
+                if row & pivot:
+                    self.rows[p] = (row ^ vec, rtag ^ tag)
+            self.rows[pivot] = (vec, tag)
+        return vec, tag
+
+    def pivots(self) -> list[int]:
+        return [p.bit_length() - 1 for p in sorted(self.rows)]
+
+
+def reference_kernel(rows) -> list[int]:
+    """`kernel` over the row-walking echelon."""
+    ech = RowWalkingEchelon()
+    out = []
+    for i, row in enumerate(rows):
+        residual, combo = ech.add(row, 1 << i)
+        if residual == 0:
+            out.append(combo)
+    return out
 
 
 FULL_A = full_a()
@@ -455,6 +512,31 @@ def reference_isomorphism(M, N) -> ModuleMap | None:
         for p, i in enumerate(local_m[d]):
             rows[i] = global_row(d, p)
     return ModuleMap(M, N, tuple(rows))
+
+
+# -- module validation over every pair of basis monomials ---------------------
+
+
+def all_pairs_associativity(M) -> list[str]:
+    """(ab)x = a(bx) for every pair of positive-degree basis monomials a, b.
+
+    The package checks only a = Sq(2^e) and lets the expansion carry the rest.
+    """
+    problems = []
+    span = M.span
+    for da in range(1, span):
+        for a in enumerate_basis(M.algebra, da):
+            for db in range(1, span - da + 1):
+                for b in enumerate_basis(M.algebra, db):
+                    ab = milnor_product(sq(*a), sq(*b))
+                    for i in range(M.dim):
+                        if M.degrees[i] + da + db > M.top:
+                            continue
+                        rhs = M.act_mono(a, M.act_mono(b, 1 << i))
+                        lhs = M.act(ab, 1 << i)
+                        if lhs != rhs:
+                            problems.append((a, b, M.gens[i]))
+    return problems
 
 
 # -- minimal resolutions through general Milnor products ----------------------

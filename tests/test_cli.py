@@ -52,6 +52,15 @@ def test_validate_round_trip(tmp_path, capsys):
     assert "tiny: ok" in capsys.readouterr().out
 
 
+def test_validate_a_wide_module_over_a(tmp_path, capsys):
+    # span 60 over A: the check takes Sq(2^e) against each monomial, not
+    # every pair of monomials
+    path = tmp_path / "two.mod"
+    path.write_text("module two over A\ngen a 0\ngen b 60\n")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "two: ok\n"
+
+
 def test_validate_reports_problems(tmp_path, capsys):
     path = tmp_path / "broken.mod"
     path.write_text(BROKEN_MODULE)
@@ -168,6 +177,17 @@ def test_resolve_prints_differentials(capsys):
 def test_resolve_bound_guard(capsys):
     assert main(["resolve", "joker", "--smax", "99", "--tmax", "12"]) == 2
     assert "s_max" in capsys.readouterr().err
+
+
+def test_default_tmax_is_40_and_the_limit_is_64(capsys):
+    assert main(["chart", "joker(3)"]) == 0
+    default = capsys.readouterr().out
+    assert main(["chart", "joker(3)", "--tmax", "40"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["resolve", "joker", "--tmax", "65"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "64" in err
 
 
 def test_resolve_a_module_in_negative_degrees(tmp_path, capsys):

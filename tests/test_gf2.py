@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import random
 
-from oracles import echelon_contains, echelon_rows, solve
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    RowWalkingEchelon,
+    echelon_contains,
+    echelon_rows,
+    reference_kernel,
+    solve,
+)
 from steen.gf2 import Echelon, bits, kernel, rank
 
 
@@ -89,3 +98,29 @@ def test_random_rank_nullity_and_kernel():
         combo = solve(rows, target)
         assert combo is not None
         assert xor_combo(rows, combo) == target
+
+
+@st.composite
+def tagged_rows(draw):
+    """Bitsets of one random width (narrow ones repeat and depend), with tags."""
+    width = draw(st.integers(1, 48))
+    return draw(
+        st.lists(
+            st.tuples(st.integers(0, (1 << width) - 1), st.integers(0, 255)),
+            max_size=40,
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tagged_rows(), st.integers(0, (1 << 48) - 1))
+def test_echelon_matches_the_row_walking_reference(entries, probe):
+    ech, ref = Echelon(), RowWalkingEchelon()
+    for vec, tag in entries:
+        assert ech.reduce(vec, tag) == ref.reduce(vec, tag)
+        assert ech.add(vec, tag) == ref.add(vec, tag)
+        assert ech.rank == ref.rank
+        assert ech.pivots() == ref.pivots()
+    assert ech.reduce(probe, 1) == ref.reduce(probe, 1)
+    vecs = [vec for vec, _ in entries]
+    assert kernel(vecs) == reference_kernel(vecs)

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import commutes_with, is_isomorphism, reference_isomorphism
+from oracles import (
+    all_pairs_associativity,
+    commutes_with,
+    is_isomorphism,
+    reference_isomorphism,
+)
 from steen import module
 from steen.catalogue import MODULE_NAMES, get_module
 from steen.milnor import an, full_a, sq
@@ -286,3 +291,37 @@ def test_find_isomorphism_search_limit(monkeypatch):
     message = str(exc.value)
     assert "\n" not in message
     assert f"{T.name} -> copy" in message
+
+
+def _plain(M, name=None, tables=None):
+    """M rebuilt from its Sq(2^e) tables alone, so validate checks its action."""
+    tables = M.generator_tables if tables is None else tables
+    return FiniteModule(name or M.name, M.algebra, M.gens, M.degrees, tables)
+
+
+def _flipped(M):
+    """M with one bit of one Sq(2^e) table flipped, for each admissible bit."""
+    tables = M.generator_tables
+    for k in module._generator_ks(M.algebra, M.span):
+        for i in range(M.dim):
+            for j in M.basis_at(M.degrees[i] + k):
+                rows = list(tables.get(k, (0,) * M.dim))
+                rows[i] ^= 1 << j
+                yield _plain(M, f"{M.name}^{k}:{i}>{j}", {**tables, k: tuple(rows)})
+
+
+def test_generator_check_agrees_with_all_pairs():
+    # the all-pairs oracle takes seconds at span 32 and far longer past it,
+    # so joker(4) .. joker(8) are left out
+    a1 = cyclic_quotient(A1, [], "a1")
+    modules = [get_module(name) for name in MODULE_NAMES]
+    modules = [M for M in modules if M.span <= 16]
+    modules += extension_enumerate(a1, full_a())
+    modules = [_plain(M) for M in modules]
+    modules += [N for M in modules for N in _flipped(M)]
+    verdicts = []
+    for M in modules:
+        valid = M.validate() == []
+        assert valid == (all_pairs_associativity(M) == []), M.name
+        verdicts.append(valid)
+    assert verdicts.count(True) >= 23 and verdicts.count(False) >= 100

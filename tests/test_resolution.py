@@ -70,8 +70,9 @@ def test_resource_guards():
     S = sphere(an(1))
     with pytest.raises(ValueError):
         minimal_resolution(an(1), S, 17, 10)
-    with pytest.raises(ValueError):
-        minimal_resolution(an(1), S, 2, 41)
+    assert minimal_resolution(an(1), S, 2, 64).t_max == 64
+    with pytest.raises(ValueError, match="between 0 and 64"):
+        minimal_resolution(an(1), S, 2, 65)
     with pytest.raises(ValueError):
         minimal_resolution(full_a(), get_module("joker"), 1, 10)
 
@@ -232,6 +233,7 @@ CASES = {
     "A(2) joker(2)": (an(2), "joker(2)", 6, 24),
     "A(3) joker(3)": (an(3), "joker(3)", 5, 28),
     "A sphere": (full_a(), None, 12, 32),
+    "A sphere t48": (full_a(), None, 3, 48),
     "A joker0": (full_a(), "joker0", 6, 24),
     "A D(joker0)": (full_a(), "D(joker0)", 5, 20),
 }
