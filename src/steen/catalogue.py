@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from steen.milnor import Algebra, an, antipode, full_a, sq
+from steen.milnor import an, full_a, sq
 from steen.module import (
     FiniteModule,
     cyclic_quotient,

@@ -388,66 +388,49 @@ def full_a() -> Algebra:
 
 
 @lru_cache(maxsize=None)
-def milnor_basis(d: int) -> tuple[Monomial, ...]:
-    """All Milnor monomials of degree d, lex sorted."""
+def _basis(n: int | None, d: int) -> tuple[Monomial, ...]:
+    """Milnor monomials of degree d in A(n), or in A when n is None, lex sorted."""
     if d < 0:
         return ()
-    top = 1
-    while (1 << (top + 1)) - 1 <= d:
-        top += 1
+    slots = max((d + 1).bit_length() - 1, 1)
+    if n is not None:
+        slots = min(slots, n + 1)
+
+    def bound(slot: int) -> int:
+        # the profile of A(n) allows r_i < 2^(n+2-i); A allows any r_i <= d
+        return d if n is None else (1 << (n + 2 - slot)) - 1
+
     out: list[Monomial] = []
-    cur = [0] * top
+    cur = [0] * slots
 
     def rec(slot: int, rem: int) -> None:
         if slot == 1:
             # weight 1: the first exponent soaks up whatever remains
-            cur[0] = rem
-            out.append(normalize(cur))
-            cur[0] = 0
-            return
-        w = (1 << slot) - 1
-        for r in range(rem // w + 1):
-            cur[slot - 1] = r
-            rec(slot - 1, rem - r * w)
-        cur[slot - 1] = 0
-
-    rec(top, d)
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _an_basis(n: int, d: int) -> tuple[Monomial, ...]:
-    out: list[Monomial] = []
-    cur = [0] * (n + 1)
-
-    def rec(slot: int, rem: int) -> None:
-        if slot == 1:
-            # weight 1: the first exponent soaks up whatever remains
-            if rem < (1 << (n + 1)):
+            if rem <= bound(1):
                 cur[0] = rem
                 out.append(normalize(cur))
                 cur[0] = 0
             return
         w = (1 << slot) - 1
-        bound = (1 << (n + 2 - slot)) - 1
-        for r in range(min(rem // w, bound) + 1):
+        for r in range(min(rem // w, bound(slot)) + 1):
             cur[slot - 1] = r
             rec(slot - 1, rem - r * w)
         cur[slot - 1] = 0
 
-    rec(n + 1, d)
+    rec(slots, d)
     return tuple(sorted(out))
+
+
+def milnor_basis(d: int) -> tuple[Monomial, ...]:
+    """All Milnor monomials of degree d, lex sorted."""
+    return _basis(None, d)
 
 
 def enumerate_basis(algebra: Algebra, d: int) -> tuple[Monomial, ...]:
     """Milnor basis of the algebra in degree d, lex sorted on exponent tuples."""
-    if d < 0:
-        return ()
-    if algebra.n is None:
-        if d > DEGREE_CAP:
-            raise ValueError(f"degree {d} exceeds cap {DEGREE_CAP}")
-        return milnor_basis(d)
-    return _an_basis(algebra.n, d)
+    if algebra.n is None and d > DEGREE_CAP:
+        raise ValueError(f"degree {d} exceeds cap {DEGREE_CAP}")
+    return _basis(algebra.n, d)
 
 
 def basis_count(algebra: Algebra, d: int) -> int:

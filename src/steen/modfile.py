@@ -222,8 +222,17 @@ def _json_ids(value, index: dict[str, int], where: str) -> list[int]:
     return [index[g] for g in value]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = {}
+    for k, value in pairs:
+        if k in out:
+            raise ValueError(f"json: repeated key {k!r}")
+        out[k] = value
+    return out
+
+
 def parse_json(text: str) -> FiniteModule:
-    payload = json.loads(text)
+    payload = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(payload, dict):
         raise ValueError("json: expected an object")
     name = _json_field(payload, "module", str, "a string")
@@ -244,6 +253,8 @@ def parse_json(text: str) -> FiniteModule:
     for k, rows in _json_field(payload, "sq", dict, "an object").items():
         if not k.isdecimal() or not isinstance(rows, dict):
             raise ValueError(f"json: sq entry {k!r} must map ids to lists of ids")
+        if k != str(int(k)):
+            raise ValueError(f"json: sq key {k!r} must be written {str(int(k))!r}")
         table = [0] * len(gens)
         for src, targets in rows.items():
             (i,) = _json_ids([src], index, f"sq {k}")
@@ -255,7 +266,10 @@ def parse_json(text: str) -> FiniteModule:
 
 def load(path: str | Path):
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     if path.suffix == ".json":
         return parse_json(text)
     return parse(text)

@@ -7,10 +7,17 @@ the generators, and `tables` lists the nonzero Sq^k tables derived that way.
 Composite tables handed to the constructor (from a module file, or from the
 Wu formula) are claims that `validate` checks against the expansion.
 `validate` checks that the action is multiplicative by taking each generator
-Sq(2^e) against each basis monomial; the expansion makes that enough.
-Modules produced by doubling store no tables: they carry a Verschiebung hook
-(vsource) and act through their base module, which also gives them honest
-actions of operations outside their own subalgebra.
+Sq(2^e) against each basis monomial, reading Sq(2^e) b from the columns of
+`generator_matrix`; the expansion makes that enough.  Modules produced by
+doubling store no tables: they carry a Verschiebung hook (vsource) and act
+through their base module, which also gives them honest actions of
+operations outside their own subalgebra.
+
+Quotients and duals come from the Sq(2^e) matrices as well.  A cyclic
+quotient builds its ideal degree by degree as the relations plus Sq(2^e)
+times the ideal below, through `generator_matrix`.  A dual acts by
+chi(Sq^k), which the recurrence chi(Sq^n) = sum Sq^i chi(Sq^(n-i)) computes
+on the module's own Sq^i tables.
 
 Hom spaces are linear algebra: the degree-preserving maps M -> N are the
 kernel of one GF(2) system in the matrix entries, f Sq(2^e) = Sq(2^e) f.
@@ -25,18 +32,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from steen.gf2 import Echelon, bits, kernel, rank
+# milnor_product is unused here but stays bound: bench/tracer.py wraps it by this name
 from steen.milnor import (
     Algebra,
     Element,
     Monomial,
-    antipode,
     enumerate_basis,
     generator_expansion,
+    generator_matrix,
     milnor_product,
     mono_degree,
     mono_str,
     normalize,
-    sq,
     verschiebung_monomial,
 )
 
@@ -260,13 +267,16 @@ class FiniteModule:
         span = self.span
         for k in _generator_ks(self.algebra, span):
             for db in range(1, span - k + 1):
-                for b in enumerate_basis(self.algebra, db):
-                    kb = milnor_product(sq(k), sq(*b))
+                products = enumerate_basis(self.algebra, db + k)
+                columns = generator_matrix(self.algebra, k.bit_length() - 1, db)
+                for b, kb in zip(enumerate_basis(self.algebra, db), columns):
                     for i in range(self.dim):
                         if self.degrees[i] + k + db > self.top:
                             continue
                         rhs = self.act_mono((k,), self._act_basis(b, i))
-                        lhs = self.act(kb, 1 << i)
+                        lhs = 0
+                        for p in bits(kb):
+                            lhs ^= self._act_basis(products[p], i)
                         if lhs != rhs:
                             problems.append(
                                 f"{self.name}: (Sq^{k}*{mono_str(b)}){self.gens[i]} = "
@@ -302,19 +312,31 @@ def shift(M: FiniteModule, m: int, name: str | None = None) -> FiniteModule:
 def dualize(M: FiniteModule, name: str | None = None) -> FiniteModule:
     """The dual module: (Sq^k f)(x) = f(chi(Sq^k) x); degrees are negated.
 
-    Dual basis ids carry a trailing mark.  Doubled modules dualize through
-    their base, since conjugation commutes with the Verschiebung.
+    chi(Sq^k) acts through chi(Sq^n) = sum_{i=1..n} Sq^i chi(Sq^(n-i)) on M's
+    own Sq^i tables.  Dual basis ids carry a trailing mark.  Doubled modules
+    dualize through their base, since conjugation commutes with the
+    Verschiebung.
     """
     name = name or f"D({M.name})"
     if M.vsource is not None:
         base, k = M.vsource
         return double(dualize(base), k, name=name)
+    ks = _generator_ks(M.algebra, M.span)
+    # chi[n][j]: chi(Sq^n) applied to basis element j
+    chi = [tuple(1 << j for j in range(M.dim))]
+    for n in range(1, max(ks, default=0) + 1):
+        images = [0] * M.dim
+        for i in range(1, n + 1):
+            table = M.table(i)
+            for j, below in enumerate(chi[n - i]):
+                for b in bits(below):
+                    images[j] ^= table[b]
+        chi.append(tuple(images))
     tables: dict[int, tuple[int, ...]] = {}
-    for k in _generator_ks(M.algebra, M.span):
-        chi = antipode(sq(k))
+    for k in ks:
         rows = [0] * M.dim
-        for j in range(M.dim):
-            for i in bits(M.act(chi, 1 << j)):
+        for j, image in enumerate(chi[k]):
+            for i in bits(image):
                 rows[i] |= 1 << j
         tables[k] = tuple(rows)
     return FiniteModule(
@@ -427,31 +449,35 @@ def cyclic_quotient(
         if not algebra.contains_element(rel):
             raise ValueError(f"{name}: relation {rel} is not in {algebra.name}")
         rel.degree  # raises when inhomogeneous
-    top = algebra.top_degree
-    ideal: dict[int, Echelon] = {}
-    index: dict[int, dict[Monomial, int]] = {}
-    for d in range(top + 1):
+    # the ideal in degree d: the relations of degree d plus Sq(2^e) times
+    # the ideal in degree d - 2^e; spanning[d] is a basis of it
+    ideal: list[Echelon] = []
+    spanning: list[list[int]] = []
+    for d in range(algebra.top_degree + 1):
         basis = enumerate_basis(algebra, d)
-        index[d] = {m: c for c, m in enumerate(basis)}
-        ech = Echelon()
-        for rel in relations:
-            dr = rel.degree
-            if dr > d:
-                continue
-            for b in enumerate_basis(algebra, d - dr):
-                image = milnor_product(sq(*b), rel)
+        vecs = [
+            sum(1 << basis.index(m) for m in rel.monomials)
+            for rel in relations
+            if rel.degree == d
+        ]
+        for e in algebra.generator_exponents(d):
+            columns = generator_matrix(algebra, e, d - (1 << e))
+            for low in spanning[d - (1 << e)]:
                 vec = 0
-                for t in image.monomials:
-                    vec ^= 1 << index[d][t]
-                ech.add(vec)
-        ideal[d] = ech
+                for c in bits(low):
+                    vec ^= columns[c]
+                vecs.append(vec)
+        ech = Echelon()
+        spanning.append([r for r in (ech.add(v)[0] for v in vecs) if r])
+        ideal.append(ech)
 
-    reps: list[tuple[int, Monomial]] = []  # (degree, representative monomial)
-    for d in range(top + 1):
-        pivot_cols = set(ideal[d].pivots())
-        for c, m in enumerate(enumerate_basis(algebra, d)):
-            if c not in pivot_cols:
-                reps.append((d, m))
+    # the classes are the non-pivot monomials; the reduced echelon form
+    # depends only on the ideal, so they do not depend on the order above
+    reps: list[tuple[int, int]] = []  # (degree, basis position)
+    for d, ech in enumerate(ideal):
+        pivots = set(ech.pivots())
+        size = len(enumerate_basis(algebra, d))
+        reps.extend((d, c) for c in range(size) if c not in pivots)
     degrees = tuple(d for d, _ in reps)
     ids = []
     seen: dict[int, int] = {}
@@ -460,29 +486,18 @@ def cyclic_quotient(
         seen[d] = count + 1
         suffix = "" if count == 0 else chr(ord("a") + count - 1)
         ids.append(f"x{d}{suffix}")
-
-    positions = {(d, m): i for i, (d, m) in enumerate(reps)}
-
-    def reduce_to_classes(d: int, vec: int) -> int:
-        vec, _ = ideal[d].reduce(vec)
-        out = 0
-        basis = enumerate_basis(algebra, d)
-        for c in bits(vec):
-            out |= 1 << positions[(d, basis[c])]
-        return out
+    positions = {rep: i for i, rep in enumerate(reps)}
 
     span = max(degrees) if degrees else 0
     tables: dict[int, tuple[int, ...]] = {}
     for k in _generator_ks(algebra, span):
         rows = [0] * len(reps)
-        for i, (d, m) in enumerate(reps):
+        for i, (d, c) in enumerate(reps):
             if d + k > span:
                 continue
-            image = milnor_product(sq(k), sq(*m))
-            vec = 0
-            for t in image.monomials:
-                vec ^= 1 << index[d + k][t]
-            rows[i] = reduce_to_classes(d + k, vec)
+            column = generator_matrix(algebra, k.bit_length() - 1, d)[c]
+            for c2 in bits(ideal[d + k].reduce(column)[0]):
+                rows[i] |= 1 << positions[(d + k, c2)]
         tables[k] = tuple(rows)
     return FiniteModule(name, algebra, tuple(ids), degrees, tables)
 

@@ -2,22 +2,27 @@
 
 The resolver is generator-driven, as in Bruner, "Calculation of large Ext
 modules" (1993).  Every column of d_s is the image of some Sq(x) g_a, kept as
-a bitset over the block-ordered basis of C_(s-1) in degree t_a + |x|.  The
-unit column is d_s(g_a) itself; for |x| > 0 the expansion
-Sq(x) = sum Sq(2^e) Sq(x') gives
+a bitset over the basis of the target in degree t_a + |x|.  The unit column
+is d_s(g_a) itself; for |x| > 0 the expansion Sq(x) = sum Sq(2^e) Sq(x')
+gives
 
     d_s(Sq(x) g_a) = sum Sq(2^e) d_s(Sq(x') g_a),
 
 so each column is a sum of lower-degree columns pushed through the matrices
-of Sq(2^e), and no general Milnor product is taken.
+of Sq(2^e), and no general Milnor product is taken.  The target of d_0 is
+the module itself, whose bitsets are global, so its Sq(2^e) tables serve
+every degree; the target of d_s for s > 0 is C_(s-1) in block order.
 
-Each set of degree-t columns of d_s goes through one elimination.  Column i
-enters the echelon with tag 1 << i, so every dependent column leaves a combo
-in the kernel of d_s: these combos are the cycles at (s+1, t), and only
-stage 1 computes a kernel on its own (of the action on M).  They are the
-combos a separate kernel of all degree-t columns would give, since the
-generators of C_s added at t come last in block order and are independent
-of the columns before them.  The rows stay fully reduced, so reducing a
+Every stage runs the same loop.  Each set of degree-t columns of d_s goes
+through one elimination.  Column i enters the echelon with tag 1 << i, so
+every dependent column leaves a combo in the kernel of d_s: these combos are
+the cycles at (s+1, t).  They are the combos a separate kernel of all
+degree-t columns would give, since the generators of C_s added at t come
+last in block order and are independent of the columns before them.  The
+candidates at (s, t) are the cycles of stage s-1, and at stage 0 the unit
+vectors of the module in degree t; each candidate outside the span so far
+becomes a generator.  A stage-0 generator's value is its unit vector, and a
+later one's is its residual.  The rows stay fully reduced, so reducing a
 vector needs only the rows whose pivots it has set.
 
 Each column is the same element in the same basis as a direct product
@@ -29,8 +34,10 @@ product-by-product construction.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+# kernel is unused here but stays bound: bench/tracer.py wraps it by this name
 from steen.gf2 import Echelon, bits, kernel
 from steen.milnor import (
     DEGREE_CAP,
@@ -146,13 +153,17 @@ class _Differential:
     """d_s on the free module C_s, memoized column by column.
 
     The column of Sq(x) g_a is a bitset over the degree t_a + |x| basis of
-    the target C_(s-1).  The unit column is the generator's own value, and
-    every other column is the sum over the expansion Sq(x) = sum Sq(2^e)
-    Sq(x') of Sq(2^e) applied to the lower-degree column of x'.
+    the target.  The unit column is the generator's own value, and every
+    other column is the sum over the expansion Sq(x) = sum Sq(2^e) Sq(x') of
+    Sq(2^e) applied to the lower-degree column of x'.  matrix(e, u) gives the
+    columns of Sq(2^e) on the target from degree u.
     """
 
-    def __init__(self, target: _FreeModule) -> None:
-        self.target = target
+    def __init__(
+        self, algebra: Algebra, matrix: Callable[[int, int], Sequence[int]]
+    ) -> None:
+        self.algebra = algebra
+        self.matrix = matrix
         self.degrees: list[int] = []
         self._blocks: dict[tuple[int, int], list[int]] = {}
 
@@ -176,14 +187,14 @@ class _Differential:
         ta = self.degrees[a]
         images: dict[tuple[int, int], int] = {}
         hit = []
-        for terms in expansion_positions(self.target.algebra, k):
+        for terms in expansion_positions(self.algebra, k):
             vec = 0
             for term in terms:
                 image = images.get(term)
                 if image is None:
                     e, i = term
                     low = self._block(a, k - (1 << e))[i]
-                    matrix = self.target.matrix(e, ta + k - (1 << e))
+                    matrix = self.matrix(e, ta + k - (1 << e))
                     image = 0
                     while low:
                         bit = low & -low
@@ -214,48 +225,15 @@ def minimal_resolution(
             raise ValueError(problems[0])
 
     res = Resolution(algebra, M, s_max, t_max)
-
-    # stage 0: unit vectors spanning M modulo the positive-degree action
-    degrees0: list[int] = []
-    values0: list[int] = []
-    for t in sorted({d for d in M.degrees if d <= t_max}):
-        image = Echelon()
-        for lower in sorted({d for d in M.degrees if d < t}):
-            for m in enumerate_basis(algebra, t - lower):
-                for i in range(M.dim):
-                    if M.degrees[i] == lower:
-                        image.add(M.act_mono(m, 1 << i))
-        for i in range(M.dim):
-            if M.degrees[i] == t and image.add(1 << i)[0]:
-                degrees0.append(t)
-                values0.append(1 << i)
-    res.degrees.append(degrees0)
-    res.values = values0
-    res.diffs.append([])
-
-    # cycles[t]: the cycles of C_(s-1) in degree t, as combos over its
-    # block-ordered basis.  Stage 1 takes them from the action on M; after
-    # that they are the dependent combos of the tagged elimination of d_(s-1)
-    # at (s-1, t)
-    cycles: dict[int, list[int]] = {}
-    for t in range(min(degrees0, default=t_max + 1), t_max + 1):
-        cycles[t] = kernel([
-            M.act_mono(m, values0[j])
-            for j, tj in enumerate(degrees0)
-            if tj <= t
-            for m in enumerate_basis(algebra, t - tj)
-        ])
-    for s in range(1, s_max + 1):
-        prev = res.degrees[s - 1]
-        if not prev:
-            res.degrees.append([])
-            res.diffs.append([])
-            continue
-        target = _FreeModule(algebra, prev)
-        d = _Differential(target)
+    # cycles[t]: the candidates at (s, t), as combos over the basis of the
+    # target of d_s; at stage 0 they are the unit vectors of M
+    cycles = {t: [1 << i for i in M.basis_at(t)] for t in range(M.bottom, t_max + 1)}
+    target: _FreeModule | None = None
+    d = _Differential(algebra, lambda e, u: M.table(1 << e))
+    for s in range(s_max + 1):
         diffs_s: list[Entry] = []
         following: dict[int, list[int]] = {}
-        for t in range(min(prev), t_max + 1):
+        for t in range(M.bottom, t_max + 1):
             combos = cycles[t]
             if s == s_max and not combos:
                 continue
@@ -268,11 +246,19 @@ def minimal_resolution(
             following[t] = kept
             for combo in combos:
                 residual = span.add(combo)[0]
-                if residual:
-                    d.add(t, residual)
+                if not residual:
+                    continue
+                if target is None:
+                    # d_0 of a new generator is the unit vector itself
+                    res.values.append(combo)
+                    d.add(t, combo)
+                else:
                     diffs_s.append(target.element(t, residual))
+                    d.add(t, residual)
         res.degrees.append(d.degrees)
         res.diffs.append(diffs_s)
+        target = _FreeModule(algebra, d.degrees)
+        d = _Differential(algebra, target.matrix)
         cycles = following
     return res
 

@@ -9,14 +9,17 @@ thin lifts of package primitives that only the tests need (`solve`,
 `echelon_contains` and `echelon_rows` over `Echelon`, `verschiebung` over
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `save` over the serializers, and `apply`, `is_isomorphism` and
-`commutes_with` on module maps), and four reference routes: the resolver,
+`commutes_with` on module maps), and six reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
 `reference_isomorphism`, which walks every invertible matrix in each degree
 instead of searching the Hom basis; `RowWalkingEchelon`, whose reduce walks
-every stored row instead of the pivots set in the vector; and
+every stored row instead of the pivots set in the vector;
 `all_pairs_associativity`, which checks (ab)x = a(bx) for every pair of basis
-monomials instead of only a = Sq(2^e).
+monomials instead of only a = Sq(2^e); `reference_cyclic_quotient`, which
+spans the ideal by the products Sq(b) * rel instead of the Sq(2^e)
+recurrence; and `reference_dualize`, which acts by the algebra element
+chi(Sq^k) from `antipode` instead of running its recurrence on the tables.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from steen.dual import zeta_in_xi
 from steen.gf2 import Echelon, bits, kernel, rank
 from steen.milnor import (
     Element,
+    antipode,
     enumerate_basis,
     full_a,
     milnor_product,
@@ -37,7 +41,7 @@ from steen.milnor import (
     verschiebung_monomial,
 )
 from steen.modfile import serialize, serialize_json
-from steen.module import ModuleMap, restrict
+from steen.module import FiniteModule, ModuleMap, double, restrict
 from steen.resolution import Resolution
 
 Mono = tuple[int, ...]  # exponent tuple of xi_1, xi_2, ..., no trailing zeros
@@ -537,6 +541,81 @@ def all_pairs_associativity(M) -> list[str]:
                         if lhs != rhs:
                             problems.append((a, b, M.gens[i]))
     return problems
+
+
+# -- quotients and duals through general Milnor products ----------------------
+
+
+def _generator_ks(algebra, span):
+    return [1 << e for e in algebra.generator_exponents(span)]
+
+
+def reference_cyclic_quotient(algebra, relations, name):
+    """The cyclic quotient with the ideal spanned by every product Sq(b) * rel.
+
+    The package builds the ideal by the Sq(2^e) recurrence instead.
+    """
+    top = algebra.top_degree
+    ideal, index = {}, {}
+    for d in range(top + 1):
+        basis = enumerate_basis(algebra, d)
+        index[d] = {m: c for c, m in enumerate(basis)}
+        ech = Echelon()
+        for rel in relations:
+            if rel.degree > d:
+                continue
+            for b in enumerate_basis(algebra, d - rel.degree):
+                vec = 0
+                for t in milnor_product(sq(*b), rel).monomials:
+                    vec ^= 1 << index[d][t]
+                ech.add(vec)
+        ideal[d] = ech
+    reps = []  # (degree, representative monomial)
+    for d in range(top + 1):
+        pivots = set(ideal[d].pivots())
+        reps += [(d, m) for c, m in enumerate(enumerate_basis(algebra, d)) if c not in pivots]
+    ids, seen = [], {}
+    for d, _ in reps:
+        count = seen.get(d, 0)
+        seen[d] = count + 1
+        ids.append(f"x{d}" + ("" if count == 0 else chr(ord("a") + count - 1)))
+    positions = {rep: i for i, rep in enumerate(reps)}
+    span = max((d for d, _ in reps), default=0)
+    tables = {}
+    for k in _generator_ks(algebra, span):
+        rows = [0] * len(reps)
+        for i, (d, m) in enumerate(reps):
+            if d + k > span:
+                continue
+            vec = 0
+            for t in milnor_product(sq(k), sq(*m)).monomials:
+                vec ^= 1 << index[d + k][t]
+            basis = enumerate_basis(algebra, d + k)
+            for c in bits(ideal[d + k].reduce(vec)[0]):
+                rows[i] |= 1 << positions[(d + k, basis[c])]
+        tables[k] = tuple(rows)
+    return FiniteModule(name, algebra, tuple(ids), tuple(d for d, _ in reps), tables)
+
+
+def reference_dualize(M, name=None):
+    """The dual with chi(Sq^k) built as an algebra element through `antipode`.
+
+    The package runs the recurrence for chi(Sq^k) on M's own tables instead.
+    """
+    name = name or f"D({M.name})"
+    if M.vsource is not None:
+        base, k = M.vsource
+        return double(reference_dualize(base), k, name=name)
+    tables = {}
+    for k in _generator_ks(M.algebra, M.span):
+        chi = antipode(sq(k))
+        rows = [0] * M.dim
+        for j in range(M.dim):
+            for i in bits(M.act(chi, 1 << j)):
+                rows[i] |= 1 << j
+        tables[k] = tuple(rows)
+    gens = tuple(f"{g}'" for g in M.gens)
+    return FiniteModule(name, M.algebra, gens, tuple(-d for d in M.degrees), tables)
 
 
 # -- minimal resolutions through general Milnor products ----------------------

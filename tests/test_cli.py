@@ -137,6 +137,12 @@ def test_validate_parse_error(tmp_path, capsys):
          "list of ids"),
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"0": {"a": ["a"]}}}',
          "k must be at least 1"),
+        ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0], ["b", 1]], '
+         '"sq": {"1": {"a": ["b"]}, "01": {}}}',
+         "sq key '01' must be written '1'"),
+        ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0], ["b", 1]], '
+         '"sq": {"1": {"a": ["b"]}, "1": {}}}',
+         "repeated key '1'"),
     ],
 )
 def test_validate_malformed_json_is_a_usage_error(tmp_path, capsys, payload, message):
@@ -146,6 +152,13 @@ def test_validate_malformed_json_is_a_usage_error(tmp_path, capsys, payload, mes
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "show", "dual"])
+def test_unreadable_path_is_a_usage_error(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"steen: cannot read {tmp_path}: Is a directory\n"
 
 
 def test_dual_and_double_and_tensor(capsys):

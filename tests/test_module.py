@@ -8,11 +8,14 @@ from oracles import (
     all_pairs_associativity,
     commutes_with,
     is_isomorphism,
+    reference_cyclic_quotient,
+    reference_dualize,
     reference_isomorphism,
 )
 from steen import module
 from steen.catalogue import MODULE_NAMES, get_module
 from steen.milnor import an, full_a, sq
+from steen.modfile import serialize
 from steen.module import (
     FiniteModule,
     coaction,
@@ -75,6 +78,38 @@ def test_cyclic_quotient_point():
     assert W.dims() == {0: 1}
     assert W.tables == {}
     assert W.validate() == []
+
+
+# every cyclic presentation the catalogue and the ledger build, and the
+# subalgebras themselves
+PRESENTATIONS = {
+    "joker": (A1, [sq(3)]),
+    "jokerP": (A1, [sq(2, 1)]),
+    "w0": (A1, [sq(1), sq(2)]),
+    "w1": (A1, [sq(2)]),
+    "joker(2) 4 relations": (A2, [sq(1), sq(0, 1), sq(0, 0, 1), sq(6)]),
+    "joker(2) 3 relations": (A2, [sq(1), sq(0, 1), sq(6)]),
+    "joker2P1": (A2, [sq(1), sq(0, 1), sq(0, 0, 1), sq(4) * sq(6)]),
+    "joker(3) 6 relations": (an(3), [sq(1), sq(0, 1), sq(0, 0, 1), sq(2), sq(0, 2), sq(12)]),
+    "joker(3) 4 relations": (an(3), [sq(1), sq(2), sq(0, 2), sq(12)]),
+    "A(0)": (an(0), []),
+    "A(1)": (A1, []),
+    "A(2)": (A2, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRESENTATIONS))
+def test_cyclic_quotient_matches_the_product_route(case):
+    algebra, relations = PRESENTATIONS[case]
+    Q = cyclic_quotient(algebra, relations, case)
+    assert serialize(Q) == serialize(reference_cyclic_quotient(algebra, relations, case))
+
+
+def test_dualize_matches_the_antipode_route():
+    modules = [get_module(name) for name in MODULE_NAMES]
+    modules += extension_enumerate(get_module("a1"), full_a())
+    for M in modules:
+        assert serialize(dualize(M)) == serialize(reference_dualize(M)), M.name
 
 
 def test_validate_flags_broken_action():

@@ -226,8 +226,15 @@ def test_minimality_no_unit_entries():
                 assert () not in e.monomials
 
 
+# Sq^1 a = b + c is the only degree-1 image, so the stage-0 generator in
+# degree 1 is the unit vector b, while its residual against the image is c
+STAGE0_CHOICE = FiniteModule(
+    "stage0", an(1), ("a", "b", "c", "d"), (0, 1, 1, 3), {1: (6, 0, 0, 0), 2: (0, 8, 0, 0)}
+)
+
 # (algebra, module, s_max, t_max) for the oracle and exactness checks
 CASES = {
+    "A(1) stage-0 choice": (an(1), STAGE0_CHOICE, 6, 20),
     "A(1) joker": (an(1), "joker", 6, 20),
     "A(1) sphere": (an(1), None, 8, 24),
     "A(2) joker(2)": (an(2), "joker(2)", 6, 24),
@@ -242,6 +249,8 @@ CASES = {
 def _module(algebra, name):
     if name is None:
         return sphere(algebra)
+    if isinstance(name, FiniteModule):
+        return name
     if name.startswith("D("):
         return dualize(get_module(name[2:-1]))
     return get_module(name)
