@@ -186,8 +186,11 @@ def _cmd_chart(args: argparse.Namespace, cfg: Config) -> int:
         target = Path(args.out)
         if not target.is_absolute():
             target = Path(cfg.output_dir) / target
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write {target}: {exc.strerror}") from None
         print(target)
     else:
         sys.stdout.write(data.decode())
@@ -256,10 +259,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify-suite":
             return 0 if run_all(print) else 1
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"steen: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"steen: {exc}", file=sys.stderr)
         return 2
 

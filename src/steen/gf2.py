@@ -35,9 +35,6 @@ class Echelon:
         self._rows: dict[int, tuple[int, int]] = {}
         self._mask = 0
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
     @property
     def rank(self) -> int:
         return len(self._rows)

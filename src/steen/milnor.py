@@ -4,6 +4,11 @@ Basis monomials Sq(r1,...,rl) are exponent tuples without trailing zeros.
 Sq(r1,...,rl) has degree sum r_i (2^i - 1).  Products use the Milnor
 matrix-sum formula with multinomial coefficients evaluated mod 2 by digit
 disjointness, so all arithmetic is exact.
+
+The last section serves everything that acts: the matrices of the generators
+Sq(2^e) on the algebra, the expansion of each basis monomial over them, and
+`FreeMap`, which evaluates Sq(x) on a free module's image through that
+expansion.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from steen.gf2 import Echelon, bits
 
@@ -19,16 +24,16 @@ __all__ = [
     "Algebra",
     "DEGREE_CAP",
     "Element",
+    "FreeMap",
     "Monomial",
     "Word",
     "admissible_words",
     "an",
     "antipode",
     "basis_count",
+    "basis_index",
     "enumerate_basis",
-    "expansion_positions",
     "full_a",
-    "generator_expansion",
     "generator_matrix",
     "milnor_basis",
     "milnor_primitive",
@@ -260,7 +265,7 @@ def _word_monomials(word: Word) -> frozenset[Monomial]:
 def _admissible_data(d: int) -> tuple[tuple[Word, ...], Echelon, dict[Monomial, int]]:
     """Echelon of admissible-word expansions over the degree-d Milnor basis."""
     words = admissible_words(d)
-    index = {m: i for i, m in enumerate(milnor_basis(d))}
+    index = basis_index(full_a(), d)
     ech = Echelon()
     for w, word in enumerate(words):
         vec = 0
@@ -478,52 +483,13 @@ def verschiebung_monomial(k: int, m: Monomial) -> Monomial | None:
     return normalize(r >> k for r in m)
 
 
-# -- expansion over the generators Sq(2^e) ------------------------------------
+# -- the generators Sq(2^e) and maps out of free modules -----------------------
 
 
 @lru_cache(maxsize=None)
-def _expansion_table(
-    algebra: Algebra, d: int
-) -> dict[Monomial, tuple[tuple[int, Monomial], ...]]:
-    """Each degree-d basis monomial as a sum of Sq(2^e) * (lower monomial)."""
-    spanning: list[tuple[int, Monomial]] = []
-    ech = Echelon()
-    for e in algebra.generator_exponents(d):
-        lower = d - (1 << e)
-        columns = generator_matrix(algebra, e, lower)
-        for m2, vec in zip(enumerate_basis(algebra, lower), columns):
-            ech.add(vec, 1 << len(spanning))
-            spanning.append((e, m2))
-    table: dict[Monomial, tuple[tuple[int, Monomial], ...]] = {}
-    for i, m in enumerate(enumerate_basis(algebra, d)):
-        residual, combo = ech.reduce(1 << i)
-        if residual:
-            raise ArithmeticError(
-                f"{mono_str(m)} is not in the span of Sq(2^e) {algebra.name}"
-            )
-        table[m] = tuple(spanning[c] for c in bits(combo))
-    return table
-
-
-@lru_cache(maxsize=None)
-def expansion_positions(
-    algebra: Algebra, d: int
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The expansion table by basis positions.
-
-    Entry i lists the (e, i') with Sq(x_i) = sum Sq(2^e) Sq(x'_i'), where x_i
-    is the i-th monomial of enumerate_basis(algebra, d) and x'_i' the i'-th
-    of enumerate_basis(algebra, d - 2^e).  Positive degrees only.
-    """
-    table = _expansion_table(algebra, d)
-    index: dict[int, dict[Monomial, int]] = {}
-    for e in algebra.generator_exponents(d):
-        lower = enumerate_basis(algebra, d - (1 << e))
-        index[e] = {m: i for i, m in enumerate(lower)}
-    return tuple(
-        tuple((e, index[e][m2]) for e, m2 in table[m])
-        for m in enumerate_basis(algebra, d)
-    )
+def basis_index(algebra: Algebra, d: int) -> dict[Monomial, int]:
+    """Position of each monomial in enumerate_basis(algebra, d); do not mutate."""
+    return {m: i for i, m in enumerate(enumerate_basis(algebra, d))}
 
 
 @lru_cache(maxsize=None)
@@ -533,8 +499,7 @@ def generator_matrix(algebra: Algebra, e: int, d: int) -> tuple[int, ...]:
     Column i is Sq(2^e) times the i-th monomial of enumerate_basis(algebra,
     d), as a bitset over the positions of enumerate_basis(algebra, d + 2^e).
     """
-    target = enumerate_basis(algebra, d + (1 << e))
-    index = {m: i for i, m in enumerate(target)}
+    index = basis_index(algebra, d + (1 << e))
     columns = []
     for m in enumerate_basis(algebra, d):
         vec = 0
@@ -544,16 +509,100 @@ def generator_matrix(algebra: Algebra, e: int, d: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-def generator_expansion(m: Monomial, algebra: Algebra) -> tuple[tuple[int, Monomial], ...]:
-    """Write Sq(R) as sum of Sq(2^e) Sq(M'); positive degree only.
+@lru_cache(maxsize=None)
+def _expansion_table(algebra: Algebra, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each degree-d basis monomial as a sum of Sq(2^e) * (lower monomial).
 
-    Lets module actions of arbitrary basis monomials be driven entirely by
-    the tables for the generators Sq(2^e).
+    Entry i lists the (e, i') with Sq(x_i) = sum Sq(2^e) Sq(x'_i'), where x_i
+    is the i-th monomial of enumerate_basis(algebra, d) and x'_i' the i'-th
+    of enumerate_basis(algebra, d - 2^e).  Sq(2^e) is dual to the primitive
+    xi_1^(2^e), so it is a term of no product of positive-degree elements,
+    and the elimination gives it itself as its expansion.  Positive degrees
+    only.
     """
-    m = normalize(m)
-    d = mono_degree(m)
-    if d == 0:
-        raise ValueError("the unit has no generator expansion")
-    if not algebra.contains(m):
-        raise ValueError(f"{mono_str(m)} is not in {algebra.name}")
-    return _expansion_table(algebra, d)[m]
+    spanning: list[tuple[int, int]] = []
+    ech = Echelon()
+    for e in algebra.generator_exponents(d):
+        for i2, vec in enumerate(generator_matrix(algebra, e, d - (1 << e))):
+            ech.add(vec, 1 << len(spanning))
+            spanning.append((e, i2))
+    table = []
+    for i, m in enumerate(enumerate_basis(algebra, d)):
+        residual, combo = ech.reduce(1 << i)
+        if residual:
+            raise ArithmeticError(
+                f"{mono_str(m)} is not in the span of Sq(2^e) {algebra.name}"
+            )
+        table.append(tuple(spanning[c] for c in bits(combo)))
+    return tuple(table)
+
+
+class FreeMap:
+    """A map from a free module, evaluated through the Sq(2^e) recurrence.
+
+    The free module has generators g_a of degree t_a, added in order with
+    their values.  The target is given by matrix(e, u), the columns of
+    Sq(2^e) on the target from degree u, as bitsets over the target's basis
+    in degree u + 2^e.  block(a, k) holds the images of Sq(x) g_a for the
+    degree-k monomials x, in enumerate_basis order: the unit's image is the
+    value of g_a, and for |x| > 0 the expansion Sq(x) = sum Sq(2^e) Sq(x')
+    gives
+
+        f(Sq(x) g_a) = sum Sq(2^e) f(Sq(x') g_a),
+
+    so each image is a sum of lower-degree images pushed through the
+    matrices of Sq(2^e), and no general Milnor product is taken.  This is
+    the one place the recurrence is written: module actions, cyclic
+    quotients and the resolver's differentials all evaluate Sq(x) here.
+    """
+
+    def __init__(
+        self, algebra: Algebra, matrix: Callable[[int, int], Sequence[int]]
+    ) -> None:
+        self.algebra = algebra
+        self.matrix = matrix
+        self.degrees: list[int] = []
+        self._blocks: dict[tuple[int, int], list[int]] = {}
+
+    def add(self, t: int, value: int) -> None:
+        """A new generator of degree t whose image is value."""
+        self._blocks[(len(self.degrees), 0)] = [value]
+        self.degrees.append(t)
+
+    def columns(self, t: int) -> list[int]:
+        """Images of every Sq(x) g_a of degree t, generator by generator.
+
+        Generators above t are skipped, since the degrees need not ascend.
+        """
+        out: list[int] = []
+        for a, ta in enumerate(self.degrees):
+            if ta <= t:
+                out.extend(self.block(a, t - ta))
+        return out
+
+    def block(self, a: int, k: int) -> list[int]:
+        """Images of Sq(x) g_a for the monomials x of degree k."""
+        hit = self._blocks.get((a, k))
+        if hit is not None:
+            return hit
+        ta = self.degrees[a]
+        images: dict[tuple[int, int], int] = {}
+        hit = []
+        for terms in _expansion_table(self.algebra, k):
+            vec = 0
+            for term in terms:
+                image = images.get(term)
+                if image is None:
+                    e, i = term
+                    low = self.block(a, k - (1 << e))[i]
+                    matrix = self.matrix(e, ta + k - (1 << e))
+                    image = 0
+                    while low:
+                        bit = low & -low
+                        image ^= matrix[bit.bit_length() - 1]
+                        low ^= bit
+                    images[term] = image
+                vec ^= image
+            hit.append(vec)
+        self._blocks[(a, k)] = hit
+        return hit

@@ -1,4 +1,4 @@
-"""Plain-text and JSON serialization for finite modules.
+"""Module files: the text format, read and written, and JSON, read only.
 
 The text format is line-based:
 
@@ -18,7 +18,9 @@ Polynomial modules for the unstable layer use
     polygen <name> <degree> real | complex
     rel <factor> [<factor>]*       (factor: name or name^e)
 
-The JSON mirror carries the same data with sorted keys.
+JSON is an input format only: an object with the keys module, algebra,
+gens (a list of [id, degree] pairs) and sq (k -> id -> list of ids), read
+by `parse_json` and by `load` for a .json path.  Every command writes text.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "parse_algebra",
     "parse_json",
     "serialize",
-    "serialize_json",
 ]
 
 _ALGEBRA_RE = re.compile(r"A(\((\d+)\))?")
@@ -186,23 +187,6 @@ def _parse_poly(lines: list[tuple[int, list[str]]]):
         else:
             raise ValueError(f"line {lineno}: unknown directive {tokens[0]!r}")
     return PolyModule(name, tuple(gens), tuple(relations))
-
-
-def serialize_json(M: FiniteModule) -> str:
-    payload = {
-        "module": M.name,
-        "algebra": M.algebra.name,
-        "gens": [[g, d] for g, d in zip(M.gens, M.degrees)],
-        "sq": {
-            str(k): {
-                M.gens[i]: [M.gens[j] for j in bits(M.tables[k][i])]
-                for i in range(M.dim)
-                if M.tables[k][i]
-            }
-            for k in sorted(M.tables)
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _json_field(payload: dict, key: str, kind: type, what: str):

@@ -1,23 +1,31 @@
 """Finite modules over the whole Steenrod algebra A or a subalgebra A(n).
 
 A module stores named basis elements with degrees and the action tables of
-the generators Sq(2^e) of its algebra; nothing else acts directly.  Every
-other Milnor basis element, composite Sq^k included, acts by expanding over
-the generators, and `tables` lists the nonzero Sq^k tables derived that way.
-Composite tables handed to the constructor (from a module file, or from the
-Wu formula) are claims that `validate` checks against the expansion.
-`validate` checks that the action is multiplicative by taking each generator
-Sq(2^e) against each basis monomial, reading Sq(2^e) b from the columns of
-`generator_matrix`; the expansion makes that enough.  Modules produced by
-doubling store no tables: they carry a Verschiebung hook (vsource) and act
-through their base module, which also gives them honest actions of
-operations outside their own subalgebra.
+the generators Sq(2^e) of its algebra; nothing else acts directly.  The
+module holds one `FreeMap` over its own basis, g_i -> x_i, whose target
+matrices are those tables, so Sq(x) x_i is entry x of its block (i, |x|):
+every Milnor basis element, composite Sq^k included, acts through the one
+Sq(2^e) recurrence that the resolver also runs.  `tables` lists the
+nonzero Sq^k tables derived that way.  Composite tables handed to the
+constructor (from a module file, or from the Wu formula) are claims that
+`validate` checks against the derived ones.  `validate` checks that the
+action is multiplicative by taking each generator Sq(2^e) against each
+basis monomial b, reading Sq(2^e) b from the columns of `generator_matrix`;
+the recurrence makes that enough.
 
-Quotients and duals come from the Sq(2^e) matrices as well.  A cyclic
-quotient builds its ideal degree by degree as the relations plus Sq(2^e)
-times the ideal below, through `generator_matrix`.  A dual acts by
-chi(Sq^k), which the recurrence chi(Sq^n) = sum Sq^i chi(Sq^(n-i)) computes
-on the module's own Sq^i tables.
+Modules produced by doubling store no tables.  They carry a Verschiebung
+hook (vsource) and act through their base: Sq(x) acts as Sq(x / 2^k) did on
+the base when 2^k divides every exponent of x, and as zero otherwise.  This
+gives them honest actions of operations outside their own subalgebra, and
+builds no block in the doubled degrees, where a deep double would need the
+basis of A(n) thousands of degrees up.
+
+A cyclic quotient A(n) / (relations) is the cokernel of a free map: a
+`FreeMap` from the free module on the relations into A(n), whose image in
+degree d is the ideal there.  Its classes are the monomials off the pivots
+of that ideal's reduced echelon form.  A dual acts by chi(Sq^k), which the
+recurrence chi(Sq^n) = sum Sq^i chi(Sq^(n-i)) computes on the module's own
+Sq^i tables.
 
 Hom spaces are linear algebra: the degree-preserving maps M -> N are the
 kernel of one GF(2) system in the matrix entries, f Sq(2^e) = Sq(2^e) f.
@@ -36,9 +44,10 @@ from steen.gf2 import Echelon, bits, kernel, rank
 from steen.milnor import (
     Algebra,
     Element,
+    FreeMap,
     Monomial,
+    basis_index,
     enumerate_basis,
-    generator_expansion,
     generator_matrix,
     milnor_product,
     mono_degree,
@@ -115,7 +124,12 @@ class FiniteModule:
         self.vsource = vsource
         self.validated = False
         self._zeros = (0,) * dim
-        self._cache: dict[tuple[Monomial, int], int] = {}
+        # the free module on the basis, g_i -> x_i, acting through the tables
+        self._action = FreeMap(
+            algebra, lambda e, u: self._generators.get(1 << e, self._zeros)
+        )
+        for i, d in enumerate(degrees):
+            self._action.add(d, 1 << i)
 
     # -- basic geometry --
 
@@ -196,32 +210,20 @@ class FiniteModule:
         return out
 
     def _act_basis(self, mono: Monomial, i: int) -> int:
-        key = (mono, i)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if self.degrees[i] + mono_degree(mono) > self.top:
-            result = 0
-        elif self.vsource is not None:
+        d = mono_degree(mono)
+        if self.degrees[i] + d > self.top:
+            return 0
+        if self.vsource is not None:
             base, k = self.vsource
             vm = verschiebung_monomial(k, mono)
-            result = 0 if vm is None else base._act_basis(vm, i)
-        elif not self.algebra.contains(mono):
+            return 0 if vm is None else base._act_basis(vm, i)
+        position = basis_index(self.algebra, d).get(mono)
+        if position is None:
             raise ValueError(
                 f"{mono_str(mono)} is not in {self.algebra.name}; "
                 f"cannot act on {self.name}"
             )
-        elif len(mono) == 1 and not mono[0] & (mono[0] - 1):
-            result = self._generators.get(mono[0], self._zeros)[i]
-        else:
-            result = 0
-            for e, rest in generator_expansion(mono, self.algebra):
-                below = self._act_basis(rest, i) if rest else (1 << i)
-                table = self._generators.get(1 << e, self._zeros)
-                for j in bits(below):
-                    result ^= table[j]
-        self._cache[key] = result
-        return result
+        return self._action.block(i, d)[position]
 
     # -- validation --
 
@@ -267,16 +269,17 @@ class FiniteModule:
         span = self.span
         for k in _generator_ks(self.algebra, span):
             for db in range(1, span - k + 1):
-                products = enumerate_basis(self.algebra, db + k)
                 columns = generator_matrix(self.algebra, k.bit_length() - 1, db)
-                for b, kb in zip(enumerate_basis(self.algebra, db), columns):
-                    for i in range(self.dim):
-                        if self.degrees[i] + k + db > self.top:
-                            continue
-                        rhs = self.act_mono((k,), self._act_basis(b, i))
+                basis = enumerate_basis(self.algebra, db)
+                rows = [i for i, di in enumerate(self.degrees) if di + k + db <= self.top]
+                # block(i, d)[p] is x x_i for the p-th degree-d monomial x
+                for pos, (b, kb) in enumerate(zip(basis, columns)):
+                    for i in rows:
+                        rhs = self.act_mono((k,), self._action.block(i, db)[pos])
+                        upper = self._action.block(i, db + k)
                         lhs = 0
                         for p in bits(kb):
-                            lhs ^= self._act_basis(products[p], i)
+                            lhs ^= upper[p]
                         if lhs != rhs:
                             problems.append(
                                 f"{self.name}: (Sq^{k}*{mono_str(b)}){self.gens[i]} = "
@@ -449,26 +452,17 @@ def cyclic_quotient(
         if not algebra.contains_element(rel):
             raise ValueError(f"{name}: relation {rel} is not in {algebra.name}")
         rel.degree  # raises when inhomogeneous
-    # the ideal in degree d: the relations of degree d plus Sq(2^e) times
-    # the ideal in degree d - 2^e; spanning[d] is a basis of it
+    # the ideal is the image of the free module on the relations: in degree
+    # d it is spanned by the Sq(x) rel with |x| + |rel| = d
+    image = FreeMap(algebra, lambda e, u: generator_matrix(algebra, e, u))
+    for rel in relations:
+        index = basis_index(algebra, rel.degree)
+        image.add(rel.degree, sum(1 << index[m] for m in rel.monomials))
     ideal: list[Echelon] = []
-    spanning: list[list[int]] = []
     for d in range(algebra.top_degree + 1):
-        basis = enumerate_basis(algebra, d)
-        vecs = [
-            sum(1 << basis.index(m) for m in rel.monomials)
-            for rel in relations
-            if rel.degree == d
-        ]
-        for e in algebra.generator_exponents(d):
-            columns = generator_matrix(algebra, e, d - (1 << e))
-            for low in spanning[d - (1 << e)]:
-                vec = 0
-                for c in bits(low):
-                    vec ^= columns[c]
-                vecs.append(vec)
         ech = Echelon()
-        spanning.append([r for r in (ech.add(v)[0] for v in vecs) if r])
+        for vec in image.columns(d):
+            ech.add(vec)
         ideal.append(ech)
 
     # the classes are the non-pivot monomials; the reduced echelon form

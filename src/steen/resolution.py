@@ -1,17 +1,13 @@
 """Minimal free resolutions, Ext charts, and chart rendering.
 
 The resolver is generator-driven, as in Bruner, "Calculation of large Ext
-modules" (1993).  Every column of d_s is the image of some Sq(x) g_a, kept as
-a bitset over the basis of the target in degree t_a + |x|.  The unit column
-is d_s(g_a) itself; for |x| > 0 the expansion Sq(x) = sum Sq(2^e) Sq(x')
-gives
-
-    d_s(Sq(x) g_a) = sum Sq(2^e) d_s(Sq(x') g_a),
-
-so each column is a sum of lower-degree columns pushed through the matrices
-of Sq(2^e), and no general Milnor product is taken.  The target of d_0 is
-the module itself, whose bitsets are global, so its Sq(2^e) tables serve
-every degree; the target of d_s for s > 0 is C_(s-1) in block order.
+modules" (1993).  Each d_s is a `FreeMap`: its generators g_a carry their
+values, and the column of Sq(x) g_a comes from the recurrence
+Sq(x) = sum Sq(2^e) Sq(x') as a sum of lower columns pushed through the
+matrices of Sq(2^e) on the target, with no general Milnor product.  The
+target of d_0 is the module itself, whose bitsets are global, so its Sq(2^e)
+tables serve every degree; the target of d_s for s > 0 is C_(s-1) in block
+order, and `_FreeModule` gives its matrices.
 
 Every stage runs the same loop.  Each set of degree-t columns of d_s goes
 through one elimination.  Column i enters the echelon with tag 1 << i, so
@@ -34,7 +30,6 @@ product-by-product construction.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 # kernel is unused here but stays bound: bench/tracer.py wraps it by this name
@@ -43,9 +38,9 @@ from steen.milnor import (
     DEGREE_CAP,
     Algebra,
     Element,
+    FreeMap,
     Monomial,
     enumerate_basis,
-    expansion_positions,
     generator_matrix,
     milnor_product,
     mono_str,
@@ -149,64 +144,6 @@ class _FreeModule:
         return {j: Element(monos) for j, monos in terms.items()}
 
 
-class _Differential:
-    """d_s on the free module C_s, memoized column by column.
-
-    The column of Sq(x) g_a is a bitset over the degree t_a + |x| basis of
-    the target.  The unit column is the generator's own value, and every
-    other column is the sum over the expansion Sq(x) = sum Sq(2^e) Sq(x') of
-    Sq(2^e) applied to the lower-degree column of x'.  matrix(e, u) gives the
-    columns of Sq(2^e) on the target from degree u.
-    """
-
-    def __init__(
-        self, algebra: Algebra, matrix: Callable[[int, int], Sequence[int]]
-    ) -> None:
-        self.algebra = algebra
-        self.matrix = matrix
-        self.degrees: list[int] = []
-        self._blocks: dict[tuple[int, int], list[int]] = {}
-
-    def add(self, t: int, value: int) -> None:
-        self._blocks[(len(self.degrees), 0)] = [value]
-        self.degrees.append(t)
-
-    def columns(self, t: int) -> list[int]:
-        """Columns of every Sq(x) g_a of degree t, in block order."""
-        out: list[int] = []
-        for a, ta in enumerate(self.degrees):
-            if ta > t:
-                break
-            out.extend(self._block(a, t - ta))
-        return out
-
-    def _block(self, a: int, k: int) -> list[int]:
-        hit = self._blocks.get((a, k))
-        if hit is not None:
-            return hit
-        ta = self.degrees[a]
-        images: dict[tuple[int, int], int] = {}
-        hit = []
-        for terms in expansion_positions(self.algebra, k):
-            vec = 0
-            for term in terms:
-                image = images.get(term)
-                if image is None:
-                    e, i = term
-                    low = self._block(a, k - (1 << e))[i]
-                    matrix = self.matrix(e, ta + k - (1 << e))
-                    image = 0
-                    while low:
-                        bit = low & -low
-                        image ^= matrix[bit.bit_length() - 1]
-                        low ^= bit
-                    images[term] = image
-                vec ^= image
-            hit.append(vec)
-        self._blocks[(a, k)] = hit
-        return hit
-
-
 def minimal_resolution(
     algebra: Algebra, M: FiniteModule, s_max: int, t_max: int
 ) -> Resolution:
@@ -229,7 +166,7 @@ def minimal_resolution(
     # target of d_s; at stage 0 they are the unit vectors of M
     cycles = {t: [1 << i for i in M.basis_at(t)] for t in range(M.bottom, t_max + 1)}
     target: _FreeModule | None = None
-    d = _Differential(algebra, lambda e, u: M.table(1 << e))
+    d = FreeMap(algebra, lambda e, u: M.table(1 << e))
     for s in range(s_max + 1):
         diffs_s: list[Entry] = []
         following: dict[int, list[int]] = {}
@@ -258,7 +195,7 @@ def minimal_resolution(
         res.degrees.append(d.degrees)
         res.diffs.append(diffs_s)
         target = _FreeModule(algebra, d.degrees)
-        d = _Differential(algebra, target.matrix)
+        d = FreeMap(algebra, target.matrix)
         cycles = following
     return res
 

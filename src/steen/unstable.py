@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+from steen.dual import poly_mul
 from steen.gf2 import bits
 from steen.milnor import DEGREE_CAP, Algebra
 from steen.module import FiniteModule, find_isomorphism
@@ -113,14 +114,6 @@ def _family_mono(P: PolyModule, flavor: str, j: int) -> Exponents | None:
     return None
 
 
-def _mul(p: frozenset, q: frozenset) -> frozenset:
-    out: set[Exponents] = set()
-    for a in p:
-        for b in q:
-            out ^= {tuple(x + y for x, y in zip(a, b))}
-    return frozenset(out)
-
-
 def _wu_generator(P: PolyModule, r: int, gi: int) -> frozenset:
     _, dg, flavor = P.generators[gi]
     if flavor == "complex":
@@ -156,7 +149,7 @@ def _wu(P: PolyModule, r: int, m: Exponents) -> frozenset:
     rest = m[:gi] + (m[gi] - 1,) + m[gi + 1 :]
     out: frozenset = frozenset()
     for i in range(r + 1):
-        out ^= _mul(_wu(P, i, head), _wu(P, r - i, rest))
+        out ^= poly_mul(_wu(P, i, head), _wu(P, r - i, rest))
     return out
 
 

@@ -8,8 +8,9 @@ throughout; no package internals beyond basic GF(2) rank.  The exceptions are
 thin lifts of package primitives that only the tests need (`solve`,
 `echelon_contains` and `echelon_rows` over `Echelon`, `verschiebung` over
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
-`unit`, `save` over the serializers, and `apply`, `is_isomorphism` and
-`commutes_with` on module maps), and six reference routes: the resolver,
+`unit`, `serialize_json` (the JSON writer no command needs) and `save` over
+the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
+module maps), and six reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
 `reference_isomorphism`, which walks every invertible matrix in each degree
@@ -24,6 +25,7 @@ chi(Sq^k) from `antipode` instead of running its recurrence on the tables.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
@@ -40,7 +42,7 @@ from steen.milnor import (
     sq,
     verschiebung_monomial,
 )
-from steen.modfile import serialize, serialize_json
+from steen.modfile import serialize
 from steen.module import FiniteModule, ModuleMap, double, restrict
 from steen.resolution import Resolution
 
@@ -296,6 +298,24 @@ def verschiebung(k: int, a: Element) -> Element:
         if vm is not None:
             acc ^= {vm}
     return Element(acc)
+
+
+def serialize_json(M: FiniteModule) -> str:
+    """M in the JSON module format that `parse_json` reads, keys sorted."""
+    payload = {
+        "module": M.name,
+        "algebra": M.algebra.name,
+        "gens": [[g, d] for g, d in zip(M.gens, M.degrees)],
+        "sq": {
+            str(k): {
+                M.gens[i]: [M.gens[j] for j in bits(M.tables[k][i])]
+                for i in range(M.dim)
+                if M.tables[k][i]
+            }
+            for k in sorted(M.tables)
+        },
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def save(M, path) -> None:

@@ -245,6 +245,14 @@ def test_chart_out_lands_in_output_dir(tmp_path, capsys):
     assert str(target / "j.txt") in capsys.readouterr().out
 
 
+def test_unwritable_chart_target_is_a_usage_error(tmp_path, capsys):
+    rc = main(["chart", "joker", "--smax", "3", "--tmax", "10", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steen: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_output_dir_flag_beats_environment(tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "env"
     flag_dir = tmp_path / "flag"

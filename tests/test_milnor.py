@@ -19,12 +19,15 @@ from oracles import (
 from steen.milnor import (
     DEGREE_CAP,
     Element,
+    FreeMap,
+    _expansion_table,
     admissible_words,
     an,
     antipode,
+    basis_index,
     enumerate_basis,
     full_a,
-    generator_expansion,
+    generator_matrix,
     milnor_basis,
     milnor_primitive,
     milnor_product,
@@ -414,19 +417,51 @@ def test_degree_cap_failures():
     assert enumerate_basis(an(2), 65) == ()
 
 
-def test_generator_expansion_reassembles():
+def test_expansion_table_reassembles():
     for algebra in (an(1), an(2), FULL_A):
         top = 12 if algebra.n is None else min(algebra.top_degree, 12)
         for d in range(1, top + 1):
-            for m in enumerate_basis(algebra, d):
+            basis = enumerate_basis(algebra, d)
+            table = _expansion_table(algebra, d)
+            assert len(table) == len(basis)
+            for m, terms in zip(basis, table):
                 acc = Element()
-                for e, rest in generator_expansion(m, algebra):
+                for e, i in terms:
+                    rest = enumerate_basis(algebra, d - (1 << e))[i]
                     acc = acc + sq(1 << e) * sq(*rest)
                 assert acc == Element([m]), (algebra.name, m)
-    with pytest.raises(ValueError):
-        generator_expansion((), an(1))
-    with pytest.raises(ValueError):
-        generator_expansion((4,), an(1))
+
+
+def test_each_generator_is_its_own_expansion():
+    # so a FreeMap reads Sq(2^e) straight off the matrix of Sq(2^e)
+    for algebra in (an(1), an(2), an(3), an(4), FULL_A):
+        for e in range(7):
+            if not algebra.contains((1 << e,)):
+                continue
+            position = basis_index(algebra, 1 << e)[(1 << e,)]
+            assert _expansion_table(algebra, 1 << e)[position] == ((e, 0),)
+
+
+def test_free_map_on_the_unit_is_the_regular_representation():
+    # g -> 1 in the algebra itself: the image of Sq(x) g is x
+    for algebra in (an(1), an(2), FULL_A):
+        f = FreeMap(algebra, lambda e, u: generator_matrix(algebra, e, u))
+        f.add(0, 1)
+        top = 14 if algebra.n is None else algebra.top_degree
+        for d in range(top + 1):
+            size = len(enumerate_basis(algebra, d))
+            assert f.block(0, d) == [1 << i for i in range(size)], (algebra.name, d)
+        assert f.columns(top) == f.block(0, top)
+
+
+def test_basis_index_follows_enumerate_basis():
+    for algebra in (an(2), FULL_A):
+        for d in range(20):
+            index = basis_index(algebra, d)
+            assert list(index) == list(enumerate_basis(algebra, d))
+            assert list(index.values()) == list(range(len(index)))
+    with pytest.raises(ValueError, match="exceeds cap"):
+        basis_index(FULL_A, DEGREE_CAP + 1)
 
 
 def test_basis_enumeration_is_lex_sorted():

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import save
+from oracles import save, serialize_json
 from steen.catalogue import get_module
 from steen.milnor import an
-from steen.modfile import load, parse, parse_json, serialize, serialize_json
+from steen.modfile import load, parse, parse_json, serialize
 
 ROUND_TRIP_NAMES = ("joker", "joker1", "joker(3)", "jokerP", "joker2P1", "a1", "w4")
 

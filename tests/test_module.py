@@ -14,7 +14,7 @@ from oracles import (
 )
 from steen import module
 from steen.catalogue import MODULE_NAMES, get_module
-from steen.milnor import an, full_a, sq
+from steen.milnor import an, enumerate_basis, full_a, milnor_product, mono_degree, sq
 from steen.modfile import serialize
 from steen.module import (
     FiniteModule,
@@ -62,6 +62,26 @@ def test_cyclic_quotient_full_a1():
     assert M.dims() == {0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1, 6: 1}
     assert M.gens == ("x0", "x1", "x2", "x3", "x3a", "x4", "x5", "x6")
     assert M.validate() == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_regular_representation_acts_by_the_product(n):
+    # A(n) with no relations is A(n) acting on itself, so every basis monomial
+    # x acts on every basis monomial y as the Milnor product x * y
+    algebra = an(n)
+    top = algebra.top_degree
+    Q = cyclic_quotient(algebra, [], f"a{n}")
+    monomials = [m for d in range(top + 1) for m in enumerate_basis(algebra, d)]
+    pos = {m: i for i, m in enumerate(monomials)}
+    pairs = 0
+    for x in monomials:
+        for y in monomials:
+            if mono_degree(x) + mono_degree(y) > top:
+                continue
+            expected = sum(1 << pos[m] for m in milnor_product(sq(*x), sq(*y)).monomials)
+            assert Q.act_mono(x, 1 << pos[y]) == expected, (x, y)
+            pairs += 1
+    assert pairs == {1: 37, 2: 2154}[n]
 
 
 def test_cyclic_quotient_question_mark():
