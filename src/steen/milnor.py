@@ -13,7 +13,6 @@ expansion.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -438,34 +437,35 @@ def enumerate_basis(algebra: Algebra, d: int) -> tuple[Monomial, ...]:
     return _basis(algebra.n, d)
 
 
-def basis_count(algebra: Algebra, d: int) -> int:
-    """Dimension of the algebra in degree d, counted without enumeration.
+@lru_cache(maxsize=None)
+def _poincare(n: int | None, top: int) -> tuple[int, ...]:
+    """Dimensions of A(n), or of A when n is None, in degrees 0..top."""
+    counts = [1] + [0] * top
+    slots = top.bit_length() if n is None else min(top.bit_length(), n + 1)
+    for slot in range(1, slots + 1):
+        w = (1 << slot) - 1
+        if n is not None:
+            # r_slot < 2^(n+2-slot): multiply by 1 - t^(w 2^(n+2-slot))
+            cut = w << (n + 2 - slot)
+            for x in range(top, cut - 1, -1):
+                counts[x] -= counts[x - cut]
+        for x in range(w, top + 1):  # divide by 1 - t^w
+            counts[x] += counts[x - w]
+    return tuple(counts)
 
-    The A(n) basis is the subset of the full Milnor basis allowed by the
-    profile, so equal counts in a degree mean the bases agree there.
+
+def basis_count(algebra: Algebra, d: int) -> int:
+    """Dimension of the algebra in degree d, read off its Poincare series.
+
+    A has series prod_i 1/(1 - t^(2^i - 1)) (Milnor 1958); A(n) keeps slots
+    i <= n+1, each cut at r_i < 2^(n+2-i).  The series is cached up to the
+    next 2^b - 1 >= d, so a sweep over degrees builds only a few short ones.
+    A(n) has a subset of the Milnor basis, so the obstruction gate compares
+    two counts: equal counts mean equal bases.
     """
     if d < 0:
         return 0
-    counts = [1] + [0] * d
-    slot = 1
-    while (w := (1 << slot) - 1) <= d:
-        if algebra.n is not None and slot > algebra.n + 1:
-            break
-        bound = d if algebra.n is None else (1 << (algebra.n + 2 - slot)) - 1
-        nxt = [0] * (d + 1)
-        for start in range(min(w, d + 1)):
-            # sliding window over one residue class: at most bound+1 copies
-            window: deque[int] = deque()
-            total = 0
-            for x in range(start, d + 1, w):
-                window.append(counts[x])
-                total += counts[x]
-                if len(window) > bound + 1:
-                    total -= window.popleft()
-                nxt[x] = total
-        counts = nxt
-        slot += 1
-    return counts[d]
+    return _poincare(algebra.n, (1 << d.bit_length()) - 1)[d]
 
 
 def milnor_primitive(s: int, t: int) -> Monomial:

@@ -159,8 +159,13 @@ class FiniteModule:
         return tuple(i for i, deg in enumerate(self.degrees) if deg == d)
 
     def algebra_ks(self) -> list[int]:
-        """The k with Sq^k in the algebra and 1 <= k <= span."""
-        return [k for k in range(1, self.span + 1) if self.algebra.contains((k,))]
+        """The k with Sq^k in the algebra and 1 <= k <= span.
+
+        Sq^k lies in A(n) exactly when k < 2^(n+1), whatever the span.
+        """
+        n = self.algebra.n
+        top = self.span if n is None else min(self.span, (1 << (n + 1)) - 1)
+        return list(range(1, top + 1))
 
     @cached_property
     def tables(self) -> dict[int, tuple[int, ...]]:
@@ -269,8 +274,10 @@ class FiniteModule:
         span = self.span
         for k in _generator_ks(self.algebra, span):
             for db in range(1, span - k + 1):
-                columns = generator_matrix(self.algebra, k.bit_length() - 1, db)
                 basis = enumerate_basis(self.algebra, db)
+                if not basis:
+                    break  # past the top class of A(n): every higher degree is empty
+                columns = generator_matrix(self.algebra, k.bit_length() - 1, db)
                 rows = [i for i, di in enumerate(self.degrees) if di + k + db <= self.top]
                 # block(i, d)[p] is x x_i for the p-th degree-d monomial x
                 for pos, (b, kb) in enumerate(zip(basis, columns)):

@@ -10,7 +10,7 @@ thin lifts of package primitives that only the tests need (`solve`,
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
-module maps), and six reference routes: the resolver,
+module maps), and seven reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
 `reference_isomorphism`, which walks every invertible matrix in each degree
@@ -20,12 +20,15 @@ every stored row instead of the pivots set in the vector;
 monomials instead of only a = Sq(2^e); `reference_cyclic_quotient`, which
 spans the ideal by the products Sq(b) * rel instead of the Sq(2^e)
 recurrence; and `reference_dualize`, which acts by the algebra element
-chi(Sq^k) from `antipode` instead of running its recurrence on the tables.
+chi(Sq^k) from `antipode` instead of running its recurrence on the tables;
+and `reference_basis_count`, which convolves one slot at a time with a
+sliding window instead of reading a cached Poincare series.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
@@ -276,6 +279,35 @@ def oracle_power_basis_count(
         if sum(e * g for e, g in zip(exps, gen_degrees)) == d:
             count += 1
     return count
+
+
+def reference_basis_count(algebra, d: int) -> int:
+    """Dimension of the algebra in degree d, one slot at a time.
+
+    Slot i has weight w = 2^i - 1 and exponent r_i <= bound, so each pass
+    sums at most bound + 1 earlier counts along every residue class mod w.
+    """
+    if d < 0:
+        return 0
+    counts = [1] + [0] * d
+    slot = 1
+    while (w := (1 << slot) - 1) <= d:
+        if algebra.n is not None and slot > algebra.n + 1:
+            break
+        bound = d if algebra.n is None else (1 << (algebra.n + 2 - slot)) - 1
+        nxt = [0] * (d + 1)
+        for start in range(min(w, d + 1)):
+            window: deque[int] = deque()
+            total = 0
+            for x in range(start, d + 1, w):
+                window.append(counts[x])
+                total += counts[x]
+                if len(window) > bound + 1:
+                    total -= window.popleft()
+                nxt[x] = total
+        counts = nxt
+        slot += 1
+    return counts[d]
 
 
 # -- lifts of package primitives ------------------------------------------------

@@ -366,3 +366,16 @@ def test_config_env_overrides_and_guards(monkeypatch):
     assert cfg.format == "svg"
     assert config_problems(cfg) == []
     assert any("format" in p for p in config_problems(Config(format="png")))
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("validate", "gap: ok"), ("show", "gen y 1000000000000"), ("dual", "gen y' -1000000000000")],
+)
+def test_a_wide_gap_over_a_finite_subalgebra_is_cheap(tmp_path, capsys, command, expected):
+    # A(1) is zero above degree 6, so neither validation nor the tables walk
+    # the 10^12 degrees between the two classes
+    path = tmp_path / "gap.mod"
+    path.write_text("module gap over A(1)\ngen x 0\ngen y 1000000000000\n")
+    assert main([command, str(path)]) == 0
+    assert expected in capsys.readouterr().out

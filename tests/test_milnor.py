@@ -13,6 +13,7 @@ from oracles import (
     coproduct,
     oracle_antipode,
     oracle_product,
+    reference_basis_count,
     unit,
     verschiebung,
 )
@@ -24,6 +25,7 @@ from steen.milnor import (
     admissible_words,
     an,
     antipode,
+    basis_count,
     basis_index,
     enumerate_basis,
     full_a,
@@ -472,3 +474,34 @@ def test_basis_enumeration_is_lex_sorted():
         for m in basis:
             assert mono_degree(m) == d
             assert not m or m[-1] != 0
+
+
+def test_basis_count_matches_the_enumerated_basis():
+    for algebra in [FULL_A] + [an(n) for n in range(7)]:
+        for d in range(-2, DEGREE_CAP + 1):
+            assert basis_count(algebra, d) == len(enumerate_basis(algebra, d)), (algebra, d)
+
+
+def test_basis_count_matches_the_sliding_window_far_out():
+    # the obstruction gate asks for degrees below 2^12 (the alpha degrees of
+    # n = 12); the samples also straddle each 2^b - 1 where the cached series
+    # ends, and pass 4096, where the profile of A(11) first drops Sq(4096)
+    alpha_degrees = {
+        (1 << 12) - (1 << i) - (1 << j) + 1
+        for i in range(12)
+        for j in range(i, 12)
+        if j != i + 1
+    }
+    ends = {(1 << b) + delta for b in range(1, 13) for delta in (-1, 0)}
+    degrees = sorted(set(range(0, 4201, 105)) | alpha_degrees | ends)
+    for algebra in (FULL_A, an(11), an(12)):
+        for d in degrees:
+            assert basis_count(algebra, d) == reference_basis_count(algebra, d), (algebra, d)
+
+
+def test_basis_count_tells_a_from_a_subalgebra():
+    # degree 4: Sq(4) and Sq(1,1) in A, but Sq(4) is outside A(1)
+    assert basis_count(full_a(), 4) == 2
+    assert basis_count(an(1), 4) == 1
+    assert basis_count(an(1), an(1).top_degree) == 1
+    assert basis_count(an(1), an(1).top_degree + 1) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +126,11 @@ def test_human_report_text():
     assert "(0,3)  deg Phi u 16  rank 1  deg alpha 8  vanishes" in text
     assert "target Sq^16 u nonzero: True" in text
     assert text.rstrip().endswith("conclusion: NonRealizable")
+
+
+def test_records_match_the_pinned_fixture():
+    # every (i, j, phi, rank, alpha, verdict) record for n = 4..12, as
+    # recorded before the gate's counts were read off a cached series
+    expected = (Path(__file__).parent / "fixtures" / "obstruction_records.txt").read_text()
+    lines = [line for n in range(4, 13) for line in report_lines(obstruction_report(n))]
+    assert "\n".join(lines) + "\n" == expected
