@@ -42,7 +42,7 @@ def _load_module(token: str):
     if token in MODULE_NAMES:
         return get_module(token)
     path = Path(token)
-    if path.exists():
+    if token and path.exists():  # Path('') is the working directory
         M = load(path)
         problems = M.validate() if isinstance(M, FiniteModule) else []
         if problems:
@@ -154,7 +154,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    if not path.exists():
+    if not args.file or not path.exists():
         raise UsageError(f"no such file: {args.file}")
     M = load(path)
     if isinstance(M, PolyModule):

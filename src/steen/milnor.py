@@ -160,55 +160,60 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
     Matrices x[i][j] (0 <= i <= p, 0 <= j <= q, x[0][0] unused) satisfy
     r_i = sum_j 2^j x[i][j] and s_j = sum_i x[i][j]; each contributes
     Sq(t1,...) with t_n = sum over i+j = n, kept when every anti-diagonal
-    multinomial is odd (digit-disjoint summands).
+    multinomial is odd.  By Lucas's theorem that multinomial is odd exactly
+    when the summands share no binary digit, and then their sum is their OR.
+
+    Pruning invariant: diag[n] is the OR of the entries placed so far on
+    anti-diagonal n, and those entries are pairwise digit-disjoint.  An entry
+    is placed only if it shares no digit with diag[n], so a partial matrix
+    whose multinomial is already even is dropped at once, and every matrix
+    that is completed is kept with t_n = diag[n].  Rows i = 1..p are filled
+    left to right, x[i][0] takes what is left of r_i, and row 0 takes what
+    is left of each column.
     """
     if not r or not s:
         return frozenset({r if not s else s})
     p, q = len(r), len(s)
     out: set[Monomial] = set()
-    rows: list[tuple[int, tuple[int, ...]]] = []  # per i: (x[i][0], x[i][1..q])
+    diag = [0] * (p + q + 1)  # running OR of anti-diagonal n = i + j
+    cols = list(s)  # cols[j - 1]: what column j leaves to the rows not yet filled
 
-    def emit(cols_left: list[int]) -> None:
-        t = []
-        for n in range(1, p + q + 1):
-            total = 0
-            acc = 0
-            for i in range(max(0, n - q), min(p, n) + 1):
-                j = n - i
-                if i == 0:
-                    e = cols_left[j - 1]
-                elif j == 0:
-                    e = rows[i - 1][0]
+    def fill(i: int, j: int, rem: int) -> None:
+        if j > q:
+            d = diag[i]  # x[i][0] = rem lies on anti-diagonal i
+            if rem & d:
+                return
+            diag[i] = d | rem
+            if i < p:
+                fill(i + 1, 1, r[i])
+            else:
+                t = diag[1:]
+                for c, v in enumerate(cols):  # x[0][j] on anti-diagonal j
+                    if v & t[c]:
+                        break
+                    t[c] |= v
                 else:
-                    e = rows[i - 1][1][j - 1]
-                total += e
-                acc |= e
-            if total != acc:
-                return
-            t.append(total)
-        _toggle(out, normalize(t))
-
-    def fill_row(i: int, cols_left: list[int]) -> None:
-        if i > p:
-            emit(cols_left)
+                    while not t[-1]:
+                        t.pop()
+                    _toggle(out, tuple(t))
+            diag[i] = d
             return
-        row = [0] * q
+        n = i + j
+        d = diag[n]
+        left = cols[j - 1]
+        top = rem >> j
+        if top > left:
+            top = left
+        v = 0
+        while v <= top:  # v runs over the values sharing no digit with d
+            diag[n] = d | v
+            cols[j - 1] = left - v
+            fill(i, j + 1, rem - (v << j))
+            v = ((v | d) + 1) & ~d
+        diag[n] = d
+        cols[j - 1] = left
 
-        def fill(j: int, rem: int) -> None:
-            if j > q:
-                rows.append((rem, tuple(row)))
-                fill_row(i + 1, [cols_left[c] - row[c] for c in range(q)])
-                rows.pop()
-                return
-            w = 1 << j
-            for v in range(min(rem // w, cols_left[j - 1]) + 1):
-                row[j - 1] = v
-                fill(j + 1, rem - v * w)
-            row[j - 1] = 0
-
-        fill(1, r[i - 1])
-
-    fill_row(1, list(s))
+    fill(1, 1, r[0])
     return frozenset(out)
 
 

@@ -10,7 +10,7 @@ thin lifts of package primitives that only the tests need (`solve`,
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
-module maps), and seven reference routes: the resolver,
+module maps), and eight reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
 `reference_isomorphism`, which walks every invertible matrix in each degree
@@ -19,10 +19,12 @@ every stored row instead of the pivots set in the vector;
 `all_pairs_associativity`, which checks (ab)x = a(bx) for every pair of basis
 monomials instead of only a = Sq(2^e); `reference_cyclic_quotient`, which
 spans the ideal by the products Sq(b) * rel instead of the Sq(2^e)
-recurrence; and `reference_dualize`, which acts by the algebra element
+recurrence; `reference_dualize`, which acts by the algebra element
 chi(Sq^k) from `antipode` instead of running its recurrence on the tables;
-and `reference_basis_count`, which convolves one slot at a time with a
-sliding window instead of reading a cached Poincare series.
+`reference_basis_count`, which convolves one slot at a time with a
+sliding window instead of reading a cached Poincare series; and
+`reference_product_monomials`, which fills in each whole Milnor matrix before
+testing its anti-diagonals instead of pruning entry by entry.
 """
 
 from __future__ import annotations
@@ -141,6 +143,63 @@ def oracle_product(r: Mono, s: Mono) -> frozenset[Mono]:
     """
     d = xi_degree(r) + xi_degree(s)
     return frozenset(t for t in xi_monomials(d) if (r, s) in psi_mono(t))
+
+
+def reference_product_monomials(r: Mono, s: Mono) -> frozenset[Mono]:
+    """Milnor's matrix formula with the parity test after each whole matrix.
+
+    Every matrix x[i][j] with r_i = sum_j 2^j x[i][j] and s_j = sum_i x[i][j]
+    is filled in first; only then is each anti-diagonal tested for digit
+    disjointness, instead of pruning an entry the moment it overlaps.
+    """
+    if not r or not s:
+        return frozenset({r if not s else s})
+    p, q = len(r), len(s)
+    out: set[Mono] = set()
+    rows: list[tuple[int, tuple[int, ...]]] = []  # per i: (x[i][0], x[i][1..q])
+
+    def emit(cols_left: list[int]) -> None:
+        t = []
+        for n in range(1, p + q + 1):
+            total = 0
+            acc = 0
+            for i in range(max(0, n - q), min(p, n) + 1):
+                j = n - i
+                if i == 0:
+                    e = cols_left[j - 1]
+                elif j == 0:
+                    e = rows[i - 1][0]
+                else:
+                    e = rows[i - 1][1][j - 1]
+                total += e
+                acc |= e
+            if total != acc:
+                return
+            t.append(total)
+        out.symmetric_difference_update({trim(t)})
+
+    def fill_row(i: int, cols_left: list[int]) -> None:
+        if i > p:
+            emit(cols_left)
+            return
+        row = [0] * q
+
+        def fill(j: int, rem: int) -> None:
+            if j > q:
+                rows.append((rem, tuple(row)))
+                fill_row(i + 1, [cols_left[c] - row[c] for c in range(q)])
+                rows.pop()
+                return
+            w = 1 << j
+            for v in range(min(rem // w, cols_left[j - 1]) + 1):
+                row[j - 1] = v
+                fill(j + 1, rem - v * w)
+            row[j - 1] = 0
+
+        fill(1, r[i - 1])
+
+    fill_row(1, list(s))
+    return frozenset(out)
 
 
 # -- conjugate generators and the antipode ------------------------------------

@@ -6,13 +6,15 @@ module and the verify-suite subcommand report the same thirteen lines.
 
 from __future__ import annotations
 
+from steen import verify
 from steen.verify import BY_SLUG, CRITERIA, run_criterion
 
 
-def _run(slug: str) -> None:
+def _run(slug: str) -> str:
     ok, detail = run_criterion(BY_SLUG[slug])
     print(f"{'PASS' if ok else 'FAIL'}  {slug:<13} {detail}")
     assert ok, f"{slug}: {detail}"
+    return detail
 
 
 def test_ledger_covers_thirteen_criteria():
@@ -82,4 +84,25 @@ def test_nonrealizability_certificates():
 
 
 def test_property_sweeps():
-    _run("properties")
+    # the counts are pinned, so a sweep that quietly checks less fails here
+    assert _run("properties") == (
+        "associativity on 54418 monomial triples (degree <= 24), "
+        "antipode involution and anti-multiplicativity (945 pairs), "
+        "admissible-form round trips, d.d = 0 and minimality for 5 "
+        "resolutions, and every catalogue entry validates"
+    )
+
+
+def test_property_sweep_catches_a_non_associative_product(monkeypatch):
+    # one wrong entry in the sweep's product source: Sq(3) Sq(1) is Sq(1,1).
+    # A sweep that took its products elsewhere, for example from the Sq(2^e)
+    # matrices, which never put Sq(3) on the left, would miss it.
+    product = verify._product_monomials
+
+    def wrong(r, s):
+        return frozenset() if (r, s) == ((3,), (1,)) else product(r, s)
+
+    monkeypatch.setattr(verify, "_product_monomials", wrong)
+    ok, detail = run_criterion(BY_SLUG["properties"])
+    assert not ok
+    assert detail.startswith("assertion failed: "), detail

@@ -161,6 +161,24 @@ def test_unreadable_path_is_a_usage_error(tmp_path, capsys, command):
     assert err == f"steen: cannot read {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["show", ""], ["dual", ""], ["double", "", "1"], ["tensor", "joker", ""],
+     ["resolve", ""], ["chart", ""]],
+)
+def test_empty_module_name_is_a_usage_error(capsys, argv):
+    # Path('') is the working directory, which is not a module file
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "steen: unknown module '': not a catalogue name or a file\n"
+    )
+
+
+def test_validate_an_empty_path_is_a_usage_error(capsys):
+    assert main(["validate", ""]) == 2
+    assert capsys.readouterr().err == "steen: no such file: \n"
+
+
 def test_dual_and_double_and_tensor(capsys):
     assert main(["dual", "joker"]) == 0
     assert "module D(joker)" in capsys.readouterr().out

@@ -14,6 +14,7 @@ from oracles import (
     oracle_antipode,
     oracle_product,
     reference_basis_count,
+    reference_product_monomials,
     unit,
     verschiebung,
 )
@@ -22,6 +23,7 @@ from steen.milnor import (
     Element,
     FreeMap,
     _expansion_table,
+    _product_monomials,
     admissible_words,
     an,
     antipode,
@@ -115,6 +117,39 @@ def test_product_degree_additive():
             prod = sq(*r) * sq(*s)
             for t in prod.monomials:
                 assert mono_degree(t) == d
+
+
+def _one_row_pairs(algebra, top):
+    """The (Sq(2^e), x) pairs generator_matrix multiplies for |x| <= top."""
+    return [
+        ((1 << e,), m)
+        for e in algebra.generator_exponents(top)
+        for d in range(top + 1)
+        for m in enumerate_basis(algebra, d)
+    ]
+
+
+def test_pruned_kernel_matches_the_whole_matrix_enumerator():
+    # the kernel itself, so the sweep leaves the product cache as it was
+    kernel = _product_monomials.__wrapped__
+    pairs = [
+        (r, s)
+        for r in monomials_up_to(24)
+        for s in monomials_up_to(24 - mono_degree(r))
+    ]
+    for algebra in (an(1), an(2), an(3)):
+        pairs += _one_row_pairs(algebra, algebra.top_degree)
+    pairs += _one_row_pairs(an(4), 40)  # all of A(4) is the slow test below
+    for r, s in pairs:
+        assert kernel(r, s) == reference_product_monomials(r, s), (r, s)
+
+
+@pytest.mark.slow
+def test_pruned_kernel_matches_on_all_of_a4():
+    kernel = _product_monomials.__wrapped__
+    A4 = an(4)
+    for r, s in _one_row_pairs(A4, A4.top_degree):
+        assert kernel(r, s) == reference_product_monomials(r, s), (r, s)
 
 
 def test_associativity_exhaustive_low_degrees():
