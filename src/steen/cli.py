@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -134,7 +133,7 @@ def _configure(args: argparse.Namespace) -> Config:
     if getattr(args, "format", None) is not None:
         overrides["format"] = args.format
     if overrides:
-        cfg = replace(cfg, **overrides)
+        cfg = cfg._replace(**overrides)
     problems = config_problems(cfg)
     if problems:
         raise UsageError("; ".join(problems))
@@ -189,6 +188,9 @@ def _cmd_chart(args: argparse.Namespace, cfg: Config) -> int:
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(data)
+        except FileExistsError:
+            # mkdir found a file where the target's directory should be
+            raise UsageError(f"cannot write {target}: Not a directory") from None
         except OSError as exc:
             raise UsageError(f"cannot write {target}: {exc.strerror}") from None
         print(target)

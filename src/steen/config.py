@@ -10,8 +10,7 @@ environment.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from steen.resolution import S_MAX_LIMIT, T_MAX_LIMIT
 
@@ -23,8 +22,7 @@ T_MAX_DEFAULT = 40
 _INT_FIELDS = frozenset({"s_max", "t_max"})
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """Knobs for the CLI: resolution window, output plumbing."""
 
     s_max: int = S_MAX_LIMIT
@@ -39,25 +37,25 @@ def from_env(
     """Apply STEEN_<FIELD> overrides; any other STEEN_ variable is an error."""
     cfg = Config() if base is None else base
     env = os.environ if environ is None else environ
-    known = {ENV_PREFIX + f.name.upper() for f in fields(Config)}
+    known = {ENV_PREFIX + name.upper() for name in Config._fields}
     for key in sorted(env):
         if key.startswith(ENV_PREFIX) and key not in known:
             raise ValueError(f"{key}: unknown setting; known: {', '.join(sorted(known))}")
     updates: dict[str, object] = {}
-    for f in fields(Config):
-        raw = env.get(ENV_PREFIX + f.name.upper())
+    for name in Config._fields:
+        raw = env.get(ENV_PREFIX + name.upper())
         if raw is None:
             continue
-        if f.name in _INT_FIELDS:
+        if name in _INT_FIELDS:
             try:
-                updates[f.name] = int(raw)
+                updates[name] = int(raw)
             except ValueError:
                 raise ValueError(
-                    f"{ENV_PREFIX}{f.name.upper()}: expected an integer, got {raw!r}"
+                    f"{ENV_PREFIX}{name.upper()}: expected an integer, got {raw!r}"
                 ) from None
         else:
-            updates[f.name] = raw
-    return replace(cfg, **updates) if updates else cfg
+            updates[name] = raw
+    return cfg._replace(**updates) if updates else cfg
 
 
 def config_problems(cfg: Config) -> list[str]:

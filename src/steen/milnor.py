@@ -13,9 +13,8 @@ expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from steen.gf2 import Echelon, bits
 
@@ -343,8 +342,7 @@ def antipode(a: Element) -> Element:
 # -- subalgebra profiles ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(NamedTuple):
     """The whole algebra A (n is None) or the subalgebra A(n), by its profile.
 
     A(n) is spanned by the Sq(r1,...,rl) with l <= n+1 and r_i < 2^(n+2-i);

@@ -25,7 +25,6 @@ by `parse_json` and by `load` for a .json path.  Every command writes text.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -216,6 +215,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def parse_json(text: str) -> FiniteModule:
+    import json
+
     payload = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(payload, dict):
         raise ValueError("json: expected an object")

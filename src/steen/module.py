@@ -36,12 +36,13 @@ is singular, and stops with ValueError after SEARCH_LIMIT tried sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from steen.gf2 import Echelon, bits, kernel, rank
 # milnor_product is unused here but stays bound: bench/tracer.py wraps it by this name
 from steen.milnor import (
+    DEGREE_CAP,
     Algebra,
     Element,
     FreeMap,
@@ -233,10 +234,19 @@ class FiniteModule:
     # -- validation --
 
     def validate(self) -> list[str]:
-        """Check the module against its definition; empty list means valid."""
+        """Check the module against its definition; empty list means valid.
+
+        Over A, a span above DEGREE_CAP is a ValueError: the algebra is only
+        enumerated up to that degree.
+        """
         if self.vsource is not None:
             problems = self._validate_doubled()
         else:
+            if self.algebra.n is None and self.span > DEGREE_CAP:
+                raise ValueError(
+                    f"{self.name}: span {self.span} over A exceeds the degree cap"
+                    f" DEGREE_CAP = {DEGREE_CAP}"
+                )
             problems = self._validate_claims() + self._validate_associativity()
         if not problems:
             self.validated = True
@@ -548,8 +558,7 @@ def extension_enumerate(
 SEARCH_LIMIT = 1 << 16  # sums of Hom basis maps find_isomorphism may try
 
 
-@dataclass(frozen=True)
-class ModuleMap:
+class ModuleMap(NamedTuple):
     """A degreewise-linear map stored as global target bitsets per source index."""
 
     source: FiniteModule

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from steen.catalogue import get_module
 from steen.milnor import basis_count, enumerate_basis, full_a
@@ -23,8 +23,7 @@ __all__ = [
 N_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     """Sq^{2^r} u must vanish for the factorization to apply."""
 
     r: int
@@ -33,8 +32,7 @@ class HypothesisCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class TermCheck:
+class TermCheck(NamedTuple):
     """One summand alpha_{i,j} Phi_{i,j} u of the factorization."""
 
     i: int
@@ -46,8 +44,7 @@ class TermCheck:
     verdict: str  # vanishes | survives | unsound
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     n: int
     k: int
     u_degree: int

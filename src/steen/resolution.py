@@ -30,7 +30,7 @@ product-by-product construction.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # kernel is unused here but stays bound: bench/tracer.py wraps it by this name
 from steen.gf2 import Echelon, bits, kernel
@@ -66,17 +66,17 @@ T_MAX_LIMIT = DEGREE_CAP
 Entry = dict[int, Element]
 
 
-@dataclass
 class Resolution:
     """A minimal free resolution, stage -1 being the module itself."""
 
-    algebra: Algebra
-    module: FiniteModule
-    s_max: int
-    t_max: int
-    degrees: list[list[int]] = field(default_factory=list)
-    values: list[int] = field(default_factory=list)
-    diffs: list[list[Entry]] = field(default_factory=list)
+    def __init__(self, algebra: Algebra, module: FiniteModule, s_max: int, t_max: int) -> None:
+        self.algebra = algebra
+        self.module = module
+        self.s_max = s_max
+        self.t_max = t_max
+        self.degrees: list[list[int]] = []
+        self.values: list[int] = []
+        self.diffs: list[list[Entry]] = []
 
     def rank(self, s: int, t: int) -> int:
         if not 0 <= s < len(self.degrees):
@@ -228,8 +228,7 @@ def resolution_checks(R: Resolution) -> list[str]:
     return problems
 
 
-@dataclass
-class ExtChart:
+class ExtChart(NamedTuple):
     """Ext ranks by bidegree plus h_i multiplication lines between dots."""
 
     ranks: dict[tuple[int, int], int]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from steen.dual import poly_mul
@@ -22,34 +21,62 @@ __all__ = [
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class PolyModule:
-    """A GF(2) polynomial algebra on graded generators, modulo pure powers."""
+    """A GF(2) polynomial algebra on graded generators, modulo pure powers.
 
-    name: str
-    generators: tuple[tuple[str, int, str], ...]
-    relations: tuple[Exponents, ...] = ()
+    Immutable, with equality and hash by value: it keys the basis cache.
+    """
 
-    def __post_init__(self) -> None:
-        names = [g for g, _, _ in self.generators]
+    __slots__ = ("name", "generators", "relations")
+
+    def __init__(
+        self,
+        name: str,
+        generators: tuple[tuple[str, int, str], ...],
+        relations: tuple[Exponents, ...] = (),
+    ) -> None:
+        names = [g for g, _, _ in generators]
         if len(set(names)) != len(names):
-            raise ValueError(f"{self.name}: duplicate generator names")
-        for g, d, flavor in self.generators:
+            raise ValueError(f"{name}: duplicate generator names")
+        for g, d, flavor in generators:
             if d <= 0:
-                raise ValueError(f"{self.name}: generator {g} of degree {d}")
+                raise ValueError(f"{name}: generator {g} of degree {d}")
             if flavor not in ("real", "complex"):
-                raise ValueError(f"{self.name}: unknown flavor {flavor!r}")
+                raise ValueError(f"{name}: unknown flavor {flavor!r}")
             if flavor == "complex" and d % 2:
-                raise ValueError(f"{self.name}: complex generator {g} of odd degree")
+                raise ValueError(f"{name}: complex generator {g} of odd degree")
         padded = []
-        for rel in self.relations:
-            rel = tuple(rel) + (0,) * (len(self.generators) - len(rel))
-            if len(rel) > len(self.generators) or min(rel, default=0) < 0:
-                raise ValueError(f"{self.name}: bad relation exponents {rel}")
+        for rel in relations:
+            rel = tuple(rel) + (0,) * (len(generators) - len(rel))
+            if len(rel) > len(generators) or min(rel, default=0) < 0:
+                raise ValueError(f"{name}: bad relation exponents {rel}")
             if not any(rel):
-                raise ValueError(f"{self.name}: unit relation")
+                raise ValueError(f"{name}: unit relation")
             padded.append(rel)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relations", tuple(padded))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("PolyModule is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("PolyModule is immutable")
+
+    def _key(self) -> tuple:
+        return self.name, self.generators, self.relations
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PolyModule) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"PolyModule(name={self.name!r}, generators={self.generators!r},"
+            f" relations={self.relations!r})"
+        )
 
     @property
     def unit(self) -> Exponents:
@@ -75,7 +102,7 @@ class PolyModule:
         return _monomials(self, d)
 
     def with_relations(self, *relations: Exponents) -> PolyModule:
-        return replace(self, relations=tuple(tuple(r) for r in relations))
+        return PolyModule(self.name, self.generators, relations)
 
 
 @lru_cache(maxsize=None)

@@ -8,9 +8,8 @@ both report the same thirteen lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from steen.catalogue import get_module, verify_catalogue
 from steen.gf2 import bits
@@ -53,8 +52,7 @@ from steen.unstable import bso3, bsu3, compare_range, truncate_quotient, wu_acti
 __all__ = ["BY_SLUG", "CRITERIA", "Criterion", "run_all", "run_criterion"]
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     """One ledger entry: a stable slug, a short title, and the check."""
 
     slug: str

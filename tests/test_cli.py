@@ -61,6 +61,16 @@ def test_validate_a_wide_module_over_a(tmp_path, capsys):
     assert capsys.readouterr().out == "two: ok\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "show"])
+def test_a_module_over_a_wider_than_the_degree_cap_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "m.mod"
+    path.write_text("module m over A\ngen a 0\ngen b 100\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "steen: m: span 100 over A exceeds the degree cap DEGREE_CAP = 64\n"
+
+
 def test_validate_reports_problems(tmp_path, capsys):
     path = tmp_path / "broken.mod"
     path.write_text(BROKEN_MODULE)
@@ -269,6 +279,20 @@ def test_unwritable_chart_target_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"steen: cannot write {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize(
+    "output_dir, out",
+    [("", "plainfile/x.svg"), ("", "plainfile/sub/x.svg"), ("plainfile", "x.svg")],
+)
+def test_chart_target_under_a_plain_file_is_a_usage_error(tmp_path, capsys, output_dir, out):
+    (tmp_path / "plainfile").write_text("")
+    rc = main(["--output-dir", str(tmp_path / output_dir), "chart", "joker",
+               "--smax", "2", "--tmax", "8", "--out", out])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steen: cannot write {tmp_path / output_dir / out}: Not a directory\n"
 
 
 def test_output_dir_flag_beats_environment(tmp_path, monkeypatch, capsys):

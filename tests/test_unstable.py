@@ -120,6 +120,30 @@ def test_polymodule_validation():
         PolyModule("p", (("w", 2, "real"),), ((-1,),))
 
 
+def test_polymodule_is_an_immutable_value():
+    P = bso3()
+    for attr in ("name", "generators", "relations"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(P, attr, ())
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(P, attr)
+    Q = bso3()
+    assert P is not Q and P == Q and hash(P) == hash(Q)
+    assert P != bsu3() and P != P.with_relations((3, 0))
+    assert P.with_relations((3,)) == P.with_relations((3, 0))
+    assert len({P, Q, P.with_relations((3,)), P.with_relations((3, 0))}) == 2
+
+
+def test_with_relations_validates_and_pads():
+    Q = bso3().with_relations((3,), (0, 2))
+    assert Q.relations == ((3, 0), (0, 2))
+    assert (Q.name, Q.generators) == (bso3().name, bso3().generators)
+    with pytest.raises(ValueError, match="unit relation"):
+        bso3().with_relations((0, 0))
+    with pytest.raises(ValueError, match="bad relation"):
+        bso3().with_relations((1, 1, 1))
+
+
 def test_short_relations_are_padded():
     P = PolyModule("p", (("w2", 2, "real"), ("w3", 3, "real")), ((3,),))
     assert P.relations == ((3, 0),)
