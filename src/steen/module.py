@@ -456,11 +456,25 @@ def coaction(M: FiniteModule, i: int) -> list[tuple[Monomial, int]]:
 
 # -- quotients and extensions ---------------------------------------------------
 
+# table patterns extension_enumerate, and sums of Hom basis maps
+# find_isomorphism, may try
+SEARCH_LIMIT = 1 << 16
+
 
 def cyclic_quotient(
     algebra: Algebra, relations: list[Element], name: str
 ) -> FiniteModule:
-    """The cyclic module algebra / (left ideal generated by the relations)."""
+    """The cyclic module algebra / (left ideal generated by the relations).
+
+    The ideal I is built degree by degree, and the loop stops once I_d is
+    all of A(n)_d for 2^n consecutive degrees a, ..., a + 2^n - 1.  That is
+    exact: A(n) is generated by the Sq(2^e) with 2^e <= 2^n, so each x of
+    degree d > 0 is a sum of Sq(2^e) x' with d - 2^n <= |x'| < d.  For
+    d >= a + 2^n every such x' has degree a or more, so it lies in I by
+    induction on d, and as I is a left ideal, so does x.  Hence I is
+    everything from degree a up: no class lies there, and the tables below
+    read the ideal only up to the span.
+    """
     if algebra.n is None:
         raise ValueError("cyclic quotients are built over a finite subalgebra")
     for rel in relations:
@@ -476,11 +490,15 @@ def cyclic_quotient(
         index = basis_index(algebra, rel.degree)
         image.add(rel.degree, sum(1 << index[m] for m in rel.monomials))
     ideal: list[Echelon] = []
+    full = 0  # consecutive degrees, up to d, where the ideal is everything
     for d in range(algebra.top_degree + 1):
         ech = Echelon()
         for vec in image.columns(d):
             ech.add(vec)
         ideal.append(ech)
+        full = full + 1 if ech.rank == len(enumerate_basis(algebra, d)) else 0
+        if full == 1 << algebra.n:
+            break
 
     # the classes are the non-pivot monomials; the reduced echelon form
     # depends only on the ideal, so they do not depend on the order above
@@ -521,7 +539,8 @@ def extension_enumerate(
     Only the new generator tables Sq(2^e) are free; composite squares follow
     from them.  Candidates are filtered by a full validate, and returned in
     the deterministic order of their bit patterns, each named name or
-    M.name~pattern.
+    M.name~pattern.  Past SEARCH_LIMIT patterns it raises ValueError before
+    trying any.
     """
     span = M.span
     for k in range(1, span + 1):
@@ -535,6 +554,11 @@ def extension_enumerate(
             if targets:
                 slots.append((k, i, targets))
     total_bits = sum(len(t) for _, _, t in slots)
+    if 1 << total_bits > SEARCH_LIMIT:
+        raise ValueError(
+            f"extensions of {M.name} to {target.name}: {1 << total_bits} table "
+            f"patterns exceed the search limit {SEARCH_LIMIT}"
+        )
     out: list[FiniteModule] = []
     for pattern in range(1 << total_bits):
         new_tables: dict[int, list[int]] = {k: [0] * M.dim for k in new_ks}
@@ -554,9 +578,6 @@ def extension_enumerate(
 
 
 # -- Hom and isomorphisms ---------------------------------------------------------
-
-SEARCH_LIMIT = 1 << 16  # sums of Hom basis maps find_isomorphism may try
-
 
 class ModuleMap(NamedTuple):
     """A degreewise-linear map stored as global target bitsets per source index."""

@@ -181,6 +181,10 @@ def minimal_resolution(
                 if not residual:
                     kept.append(combo)
             following[t] = kept
+            if len(combos) == span.rank:
+                # the image lies in the span of the combos (a kernel basis,
+                # or M_t at stage 0), so it is all of it: no new generators
+                continue
             for combo in combos:
                 residual = span.add(combo)[0]
                 if not residual:

@@ -307,9 +307,20 @@ def _associativity_triples(cap: int) -> int:
     is kept as a GF(2) bitset over the basis of its degree, in one table per
     pair of degrees.  The Sq(2^e) matrices are not used: their recurrence
     assumes the associativity checked here.  Returns the number of triples.
+
+    For each x and y the check runs over every z at once, on ints that hold
+    one W-bit slot per z: slot k is bits k*W to (k+1)*W - 1, where W is the
+    largest basis size in any degree up to cap, so one packing serves every
+    pair of degrees.  (xy)z is the XOR of the packed rows m z over the
+    monomials m of xy.  x(yz) is the XOR over monomials m of (x m) * spread,
+    where spread has bit k*W set for each z_k whose yz_k holds m; the
+    multiplication has no carries, since x m < 2^W, so it copies x m into
+    those slots.  The lowest differing bit lies in the slot of the first
+    failing z, so a failure names the same triple as a loop over x, y, z.
     """
     A = full_a()
-    basis = {d: milnor_basis(d) for d in range(1, cap)}
+    basis = {d: milnor_basis(d) for d in range(1, cap + 1)}
+    width = max(len(b) for b in basis.values())
     table: dict[tuple[int, int], list[list[int]]] = {}
     for p in range(1, cap):
         for q in range(1, cap - p + 1):
@@ -318,26 +329,46 @@ def _associativity_triples(cap: int) -> int:
                 [sum(1 << index[t] for t in _product_monomials(x, y)) for y in basis[q]]
                 for x in basis[p]
             ]
+    # packed[p, r][m]: the products m z over the degree-r monomials z
+    packed = {
+        key: [sum(mz << k * width for k, mz in enumerate(row)) for row in rows]
+        for key, rows in table.items()
+    }
+    # spread[q, r][j]: (m, mask) with bit k*W of mask set when y_j z_k holds m
+    spread: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
+    for key, rows in table.items():
+        if sum(key) == cap:  # no room left for x
+            continue
+        spread[key] = []
+        for row in rows:
+            masks: dict[int, int] = {}
+            for k, yz in enumerate(row):
+                for m in bits(yz):
+                    masks[m] = masks.get(m, 0) | 1 << k * width
+            spread[key].append(list(masks.items()))
     triples = 0
     for da in range(1, cap - 1):
         for db in range(1, cap - da):
+            xy_bits = [[list(bits(xy)) for xy in row] for row in table[da, db]]
             for dc in range(1, cap - da - db + 1):
-                left = table[da + db, dc]  # (xy) z, row by monomial of xy
+                left = packed[da + db, dc]  # (xy) z, row by monomial of xy
                 right = table[da, db + dc]  # x (yz), column by monomial of yz
-                yz_bits = [[list(bits(yz)) for yz in row] for row in table[db, dc]]
-                for i, xy_row in enumerate(table[da, db]):
+                spreads = spread[db, dc]
+                for i, xy_row in enumerate(xy_bits):
                     x_times = right[i]
                     for j, xy in enumerate(xy_row):
-                        rows = [left[m] for m in bits(xy)]
-                        for k, yz in enumerate(yz_bits[j]):
-                            lhs = 0
-                            for row in rows:
-                                lhs ^= row[k]
-                            rhs = 0
-                            for m in yz:
-                                rhs ^= x_times[m]
-                            assert lhs == rhs, (basis[da][i], basis[db][j], basis[dc][k])
-                            triples += 1
+                        lhs = 0
+                        for m in xy:
+                            lhs ^= left[m]
+                        rhs = 0
+                        for m, mask in spreads[j]:
+                            rhs ^= x_times[m] * mask
+                        assert lhs == rhs, (
+                            basis[da][i],
+                            basis[db][j],
+                            basis[dc][next(bits(lhs ^ rhs)) // width],
+                        )
+                triples += len(basis[da]) * len(basis[db]) * len(basis[dc])
     return triples
 
 

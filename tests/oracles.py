@@ -10,7 +10,7 @@ thin lifts of package primitives that only the tests need (`solve`,
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
-module maps), and eight reference routes: the resolver,
+module maps), and nine reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
 `reference_isomorphism`, which walks every invertible matrix in each degree
@@ -22,9 +22,11 @@ spans the ideal by the products Sq(b) * rel instead of the Sq(2^e)
 recurrence; `reference_dualize`, which acts by the algebra element
 chi(Sq^k) from `antipode` instead of running its recurrence on the tables;
 `reference_basis_count`, which convolves one slot at a time with a
-sliding window instead of reading a cached Poincare series; and
+sliding window instead of reading a cached Poincare series;
 `reference_product_monomials`, which fills in each whole Milnor matrix before
-testing its anti-diagonals instead of pruning entry by entry.
+testing its anti-diagonals instead of pruning entry by entry; and
+`reference_associativity_triples`, which compares (xy)z and x(yz) one
+triple at a time instead of packing every z into one int.
 """
 
 from __future__ import annotations
@@ -652,6 +654,47 @@ def all_pairs_associativity(M) -> list[str]:
                         if lhs != rhs:
                             problems.append((a, b, M.gens[i]))
     return problems
+
+
+# -- the algebra's associativity sweep, one triple at a time -------------------
+
+
+def reference_associativity_triples(cap, product):
+    """(xy)z = x(yz) over positive-degree monomials of total degree <= cap.
+
+    product(r, s) gives the monomials of Sq(r) Sq(s).  Each triple is one
+    comparison of two bitsets; the package packs every z into one int.
+    Raises AssertionError on the first failing (x, y, z) in x, y, z order,
+    and returns the number of triples.
+    """
+    A = full_a()
+    basis = {d: enumerate_basis(A, d) for d in range(1, cap)}
+    table = {}
+    for p in range(1, cap):
+        for q in range(1, cap - p + 1):
+            index = {m: c for c, m in enumerate(enumerate_basis(A, p + q))}
+            table[p, q] = [
+                [sum(1 << index[t] for t in product(x, y)) for y in basis[q]]
+                for x in basis[p]
+            ]
+    triples = 0
+    for da in range(1, cap - 1):
+        for db in range(1, cap - da):
+            for dc in range(1, cap - da - db + 1):
+                left = table[da + db, dc]  # (xy) z, row by monomial of xy
+                right = table[da, db + dc]  # x (yz), column by monomial of yz
+                for i, xy_row in enumerate(table[da, db]):
+                    for j, xy in enumerate(xy_row):
+                        for k, yz in enumerate(table[db, dc][j]):
+                            lhs = 0
+                            for m in bits(xy):
+                                lhs ^= left[m][k]
+                            rhs = 0
+                            for m in bits(yz):
+                                rhs ^= right[i][m]
+                            assert lhs == rhs, (basis[da][i], basis[db][j], basis[dc][k])
+                            triples += 1
+    return triples
 
 
 # -- quotients and duals through general Milnor products ----------------------

@@ -6,7 +6,9 @@ module and the verify-suite subcommand report the same thirteen lines.
 
 from __future__ import annotations
 
+from oracles import reference_associativity_triples
 from steen import verify
+from steen.milnor import _product_monomials, milnor_basis, mono_degree
 from steen.verify import BY_SLUG, CRITERIA, run_criterion
 
 
@@ -106,3 +108,58 @@ def test_property_sweep_catches_a_non_associative_product(monkeypatch):
     ok, detail = run_criterion(BY_SLUG["properties"])
     assert not ok
     assert detail.startswith("assertion failed: "), detail
+
+
+def _packed(monkeypatch):
+    """The package's sweep, taking its products from the given function."""
+
+    def sweep(cap, product):
+        monkeypatch.setattr(verify, "_product_monomials", product)
+        return verify._associativity_triples(cap)
+
+    return sweep
+
+
+def _first_failure(sweep, product):
+    try:
+        sweep(24, product)
+    except AssertionError as exc:
+        return exc.args[0]
+    return None
+
+
+def test_packed_sweep_counts_every_triple(monkeypatch):
+    assert _packed(monkeypatch)(24, _product_monomials) == 54418
+    assert reference_associativity_triples(24, _product_monomials) == 54418
+
+
+# (r, s): Sq(r) Sq(s) gets the first monomial of its degree toggled
+CORRUPTIONS = [
+    ((2,), (4,)),
+    ((1,), (1,)),
+    ((3,), (0, 1)),
+    ((0, 2), (5,)),
+    ((4, 1), (2,)),
+    ((12,), (12,)),
+    ((1,), (23,)),
+    ((1,), (4, 2)),  # two z fail with the first failing x, y; the lower one counts
+]
+
+
+def test_packed_sweep_names_the_reference_first_failure(monkeypatch):
+    failures = []
+    for pair in CORRUPTIONS:
+
+        def wrong(r, s, pair=pair):
+            out = _product_monomials(r, s)
+            if (r, s) == pair:
+                out = out ^ {milnor_basis(mono_degree(r) + mono_degree(s))[0]}
+            return out
+
+        expected = _first_failure(reference_associativity_triples, wrong)
+        assert expected is not None, pair
+        assert _first_failure(_packed(monkeypatch), wrong) == expected, pair
+        failures.append(expected)
+    # the corruptions reach the last packed slot and the top total degree
+    assert any(z == milnor_basis(mono_degree(z))[-1] for _, _, z in failures)
+    assert any(sum(map(mono_degree, t)) == 24 for t in failures)

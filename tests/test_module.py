@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     all_pairs_associativity,
@@ -12,9 +14,17 @@ from oracles import (
     reference_dualize,
     reference_isomorphism,
 )
-from steen import module
+from steen import milnor, module
 from steen.catalogue import MODULE_NAMES, get_module
-from steen.milnor import an, enumerate_basis, full_a, milnor_product, mono_degree, sq
+from steen.milnor import (
+    Element,
+    an,
+    enumerate_basis,
+    full_a,
+    milnor_product,
+    mono_degree,
+    sq,
+)
 from steen.modfile import serialize
 from steen.module import (
     FiniteModule,
@@ -123,6 +133,58 @@ def test_cyclic_quotient_matches_the_product_route(case):
     algebra, relations = PRESENTATIONS[case]
     Q = cyclic_quotient(algebra, relations, case)
     assert serialize(Q) == serialize(reference_cyclic_quotient(algebra, relations, case))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cyclic_quotient_stops_once_the_ideal_fills_2n_degrees(monkeypatch, n):
+    # the ideal is built only until it is everything in 2^n consecutive
+    # degrees, not up to the top of A(n) (23 for A(2), 72 for A(3))
+    targets: list[int] = []
+    expansions: list[int] = []
+    matrix, table = milnor.generator_matrix, milnor._expansion_table
+
+    def spy_matrix(algebra, e, d):
+        targets.append(d + (1 << e))
+        return matrix(algebra, e, d)
+
+    def spy_table(algebra, d):
+        expansions.append(d)
+        return table(algebra, d)
+
+    monkeypatch.setattr(milnor, "generator_matrix", spy_matrix)
+    monkeypatch.setattr(module, "generator_matrix", spy_matrix)
+    monkeypatch.setattr(milnor, "_expansion_table", spy_table)
+    cases = [case for case in PRESENTATIONS if case.startswith(f"joker({n})")]
+    assert len(cases) == 2
+    for case in cases:
+        algebra, relations = PRESENTATIONS[case]
+        targets.clear()
+        expansions.clear()
+        span = max(cyclic_quotient(algebra, relations, case).degrees)
+        assert targets and max(targets) <= span + (1 << n), case
+        assert expansions and max(expansions) <= span + (1 << n) - 1, case
+    if n == 3:
+        assert span + (1 << n) == 24
+
+
+@st.composite
+def presentations(draw):
+    algebra = draw(st.sampled_from([A1, A2]))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, algebra.top_degree))
+        basis = enumerate_basis(algebra, d)
+        picks = draw(st.sets(st.sampled_from(basis), min_size=1))
+        relations.append(Element(picks))
+    return algebra, relations
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations())
+def test_random_cyclic_quotients_match_the_product_route(presentation):
+    algebra, relations = presentation
+    Q = cyclic_quotient(algebra, relations, "q")
+    assert serialize(Q) == serialize(reference_cyclic_quotient(algebra, relations, "q"))
 
 
 def test_dualize_matches_the_antipode_route():
@@ -272,6 +334,17 @@ def test_extension_to_full_algebra():
     for ext in exts:
         assert ext.algebra == full_a()
         assert ext.validate() == []
+
+
+def test_extension_search_past_the_limit_is_refused():
+    # joker (x) joker -> A has 36 free table bits: 2^36 patterns to validate
+    J = joker()
+    with pytest.raises(ValueError) as exc:
+        extension_enumerate(tensor(J, J), full_a())
+    assert str(exc.value) == (
+        "extensions of joker(x)joker to A: 68719476736 table patterns "
+        f"exceed the search limit {module.SEARCH_LIMIT}"
+    )
 
 
 def test_find_isomorphism_deterministic_identity():
