@@ -13,12 +13,10 @@ action is multiplicative by taking each generator Sq(2^e) against each
 basis monomial b, reading Sq(2^e) b from the columns of `generator_matrix`;
 the recurrence makes that enough.
 
-Modules produced by doubling store no tables.  They carry a Verschiebung
-hook (vsource) and act through their base: Sq(x) acts as Sq(x / 2^k) did on
-the base when 2^k divides every exponent of x, and as zero otherwise.  This
-gives them honest actions of operations outside their own subalgebra, and
-builds no block in the doubled degrees, where a deep double would need the
-basis of A(n) thousands of degrees up.
+A module whose degrees all agree mod 2^k is a double, however it was made:
+`undoubled` reads its base off the degrees, and the module acts, validates
+and dualizes through that base, building no block in the doubled degrees,
+where a deep double would need the basis of A(n) thousands of degrees up.
 
 A cyclic quotient A(n) / (relations) is the cokernel of a free map: a
 `FreeMap` from the free module on the relations into A(n), whose image in
@@ -86,7 +84,6 @@ class FiniteModule:
         gens: tuple[str, ...],
         degrees: tuple[int, ...],
         tables: dict[int, tuple[int, ...]],
-        vsource: tuple[FiniteModule, int] | None = None,
     ) -> None:
         gens = tuple(gens)
         degrees = tuple(degrees)
@@ -122,7 +119,6 @@ class FiniteModule:
         self.degrees = degrees
         self._generators = {k: t for k, t in clean.items() if not k & (k - 1)}
         self._claims = {k: t for k, t in clean.items() if k & (k - 1)}
-        self.vsource = vsource
         self.validated = False
         self._zeros = (0,) * dim
         # the free module on the basis, g_i -> x_i, acting through the tables
@@ -159,35 +155,54 @@ class FiniteModule:
     def basis_at(self, d: int) -> tuple[int, ...]:
         return tuple(i for i, deg in enumerate(self.degrees) if deg == d)
 
-    def algebra_ks(self) -> list[int]:
-        """The k with Sq^k in the algebra and 1 <= k <= span.
+    @cached_property
+    def undoubled(self) -> tuple[FiniteModule, int] | None:
+        """(base, k) for the largest k >= 1, at most n over A(n), with all
+        degrees equal mod 2^k; None when there is none.
 
-        Sq^k lies in A(n) exactly when k < 2^(n+1), whatever the span.
+        The base has degrees (d - bottom) / 2^k over A(n - k), or over A, and
+        takes the given Sq^(2^k j) table, claims included, as its Sq^j.  The
+        module is valid exactly when its base is, and Sq(x) then acts as
+        Sq(x / 2^k) does on the base, or as zero unless 2^k divides every
+        exponent of x.  Proof: the Verschiebung V: A(n) -> A(n-1), dual to
+        xi -> xi^2, is a surjective Hopf map whose kernel is the two-sided
+        ideal generated by its Hopf kernel E(Q_0, ..., Q_n), which is the
+        ideal of Sq^1 = Q_0, as Q_(i+1) = [Sq^(2^(i+1)), Q_i].  Sq^1 acts as
+        zero on a module in one parity, so the ideal does and the action
+        factors through V; k steps give V^k.  Over A, read A for every A(m).
         """
         n = self.algebra.n
-        top = self.span if n is None else min(self.span, (1 << (n + 1)) - 1)
-        return list(range(1, top + 1))
+        k = self.span.bit_length() if n is None else n
+        while k and any((d - self.bottom) % (1 << k) for d in self.degrees):
+            k -= 1
+        if not k:
+            return None
+        return FiniteModule(
+            self.name,
+            self.algebra if n is None else Algebra(n=n - k),
+            self.gens,
+            tuple((d - self.bottom) >> k for d in self.degrees),
+            {j >> k: t for j, t in (self._generators | self._claims).items() if not j % (1 << k)},
+        ), k
 
     @cached_property
     def tables(self) -> dict[int, tuple[int, ...]]:
-        """Every nonzero Sq^k table, k in algebra_ks(), derived by the action.
+        """Every nonzero Sq^k table, 1 <= k <= span, derived by the action.
 
-        A double along v^(k) takes the Sq^j table of its base as Sq^(2^k j).
+        Sq^k lies in A(n) exactly when k < 2^(n+1).  A double takes the Sq^j
+        table of its base as Sq^(2^k j).
         """
-        if self.vsource is not None:
-            base, k = self.vsource
+        if self.undoubled is not None:
+            base, k = self.undoubled
             return {j << k: t for j, t in base.tables.items()}
-        out = {}
-        for k in self.algebra_ks():
-            table = tuple(self._act_basis((k,), i) for i in range(self.dim))
-            if any(table):
-                out[k] = table
-        return out
+        end = self.span + 1 if self.algebra.n is None else min(self.span + 1, 2 << self.algebra.n)
+        rows = {k: [self._act_basis((k,), i) for i in range(self.dim)] for k in range(1, end)}
+        return {k: tuple(t) for k, t in rows.items() if any(t)}
 
     @property
     def generator_tables(self) -> dict[int, tuple[int, ...]]:
-        """The nonzero Sq(2^e) tables."""
-        return {k: t for k, t in self.tables.items() if not k & (k - 1)}
+        """The nonzero Sq(2^e) tables, as given."""
+        return {k: t for k, t in self._generators.items() if any(t)}
 
     def table(self, k: int) -> tuple[int, ...]:
         return self.tables.get(k, self._zeros)
@@ -216,13 +231,17 @@ class FiniteModule:
         return out
 
     def _act_basis(self, mono: Monomial, i: int) -> int:
+        if self.undoubled is not None and self.algebra.contains(mono):
+            base, k = self.undoubled
+            vm = verschiebung_monomial(k, mono)
+            return 0 if vm is None else base._act_basis(vm, i)
+        return self._act_directly(mono, i)
+
+    def _act_directly(self, mono: Monomial, i: int) -> int:
+        # Sq(mono) x_i by own blocks, not a base; names an op outside the algebra
         d = mono_degree(mono)
         if self.degrees[i] + d > self.top:
             return 0
-        if self.vsource is not None:
-            base, k = self.vsource
-            vm = verschiebung_monomial(k, mono)
-            return 0 if vm is None else base._act_basis(vm, i)
         position = basis_index(self.algebra, d).get(mono)
         if position is None:
             raise ValueError(
@@ -237,28 +256,18 @@ class FiniteModule:
         """Check the module against its definition; empty list means valid.
 
         Over A, a span above DEGREE_CAP is a ValueError: the algebra is only
-        enumerated up to that degree.
+        enumerated up to that degree.  A double whose base is valid is valid;
+        else the module itself is checked, so problems name its own operations.
         """
-        if self.vsource is not None:
-            problems = self._validate_doubled()
-        else:
-            if self.algebra.n is None and self.span > DEGREE_CAP:
-                raise ValueError(
-                    f"{self.name}: span {self.span} over A exceeds the degree cap"
-                    f" DEGREE_CAP = {DEGREE_CAP}"
-                )
+        if self.algebra.n is None and self.span > DEGREE_CAP:
+            raise ValueError(
+                f"{self.name}: span {self.span} over A exceeds the degree cap"
+                f" DEGREE_CAP = {DEGREE_CAP}"
+            )
+        problems = []
+        if self.undoubled is None or self.undoubled[0].validate():
             problems = self._validate_claims() + self._validate_associativity()
-        if not problems:
-            self.validated = True
-        return problems
-
-    def _validate_doubled(self) -> list[str]:
-        base, k = self.vsource
-        problems = [f"{self.name}: base {base.name}: {p}" for p in base.validate()]
-        if self.gens != base.gens:
-            problems.append(f"{self.name}: ids differ from base {base.name}")
-        if self.degrees != tuple(d << k for d in base.degrees):
-            problems.append(f"{self.name}: degrees are not 2^{k} times the base")
+        self.validated = not problems
         return problems
 
     def _validate_claims(self) -> list[str]:
@@ -266,7 +275,7 @@ class FiniteModule:
         problems = []
         for k, claim in self._claims.items():
             for i, row in enumerate(claim):
-                derived = self._act_basis((k,), i)
+                derived = self._act_directly((k,), i)
                 if row != derived:
                     problems.append(
                         f"{self.name}: Sq^{k} on {self.gens[i]} is "
@@ -282,12 +291,13 @@ class FiniteModule:
         # rho(ab) = sum rho(Sq(2^e)) rho(a'b) = rho(a) rho(b)
         problems = []
         span = self.span
-        for k in _generator_ks(self.algebra, span):
+        for e in self.algebra.generator_exponents(span):
+            k = 1 << e
             for db in range(1, span - k + 1):
                 basis = enumerate_basis(self.algebra, db)
                 if not basis:
                     break  # past the top class of A(n): every higher degree is empty
-                columns = generator_matrix(self.algebra, k.bit_length() - 1, db)
+                columns = generator_matrix(self.algebra, e, db)
                 rows = [i for i, di in enumerate(self.degrees) if di + k + db <= self.top]
                 # block(i, d)[p] is x x_i for the p-th degree-d monomial x
                 for pos, (b, kb) in enumerate(zip(basis, columns)):
@@ -310,11 +320,6 @@ def trivial_module(algebra: Algebra, name: str = "F2", gen: str = "u") -> Finite
     return FiniteModule(name, algebra, (gen,), (0,), {})
 
 
-def _generator_ks(algebra: Algebra, span: int) -> list[int]:
-    """The k = 2^e <= span with Sq^k in the algebra."""
-    return [1 << e for e in range(span.bit_length()) if algebra.contains((1 << e,))]
-
-
 # -- constructions -------------------------------------------------------------
 
 
@@ -333,15 +338,14 @@ def dualize(M: FiniteModule, name: str | None = None) -> FiniteModule:
     """The dual module: (Sq^k f)(x) = f(chi(Sq^k) x); degrees are negated.
 
     chi(Sq^k) acts through chi(Sq^n) = sum_{i=1..n} Sq^i chi(Sq^(n-i)) on M's
-    own Sq^i tables.  Dual basis ids carry a trailing mark.  Doubled modules
-    dualize through their base, since conjugation commutes with the
-    Verschiebung.
+    own Sq^i tables.  Dual basis ids carry a trailing mark.  Doubles dualize
+    through their base, since conjugation commutes with the Verschiebung.
     """
     name = name or f"D({M.name})"
-    if M.vsource is not None:
-        base, k = M.vsource
-        return double(dualize(base), k, name=name)
-    ks = _generator_ks(M.algebra, M.span)
+    if M.undoubled is not None:
+        base, k = M.undoubled
+        return shift(double(dualize(base), k), -M.bottom, name)
+    ks = [1 << e for e in M.algebra.generator_exponents(M.span)]
     # chi[n][j]: chi(Sq^n) applied to basis element j
     chi = [tuple(1 << j for j in range(M.dim))]
     for n in range(1, max(ks, default=0) + 1):
@@ -372,24 +376,18 @@ def double(M: FiniteModule, k: int, name: str | None = None) -> FiniteModule:
     """Degree-doubling along the k-fold Verschiebung: Sq^{2^k j} acts as Sq^j did.
 
     Over A(n) the result is an A(n+k)-module; over the whole algebra it stays
-    one.  The result stores no tables but remembers its base, so arbitrary
-    operations act through v^(k) even beyond the stated subalgebra.
+    one.  It acts through its undoubling; M's composite claims carry over.
     """
     if k < 0:
         raise ValueError("doubling exponent must be non-negative")
     if k == 0:
         return M
-    if M.algebra.n is not None:
-        target = Algebra(n=M.algebra.n + k)
-    else:
-        target = M.algebra
     return FiniteModule(
         name or f"{M.name}^({k})",
-        target,
+        M.algebra if M.algebra.n is None else Algebra(n=M.algebra.n + k),
         M.gens,
         tuple(d << k for d in M.degrees),
-        {},
-        vsource=(M, k),
+        {j << k: t for j, t in (M.generator_tables | M._claims).items()},
     )
 
 
@@ -417,7 +415,7 @@ def tensor(M: FiniteModule, N: FiniteModule, name: str | None = None) -> FiniteM
     dim_n = N.dim
     span = (max(degrees) - min(degrees)) if degrees else 0
     tables: dict[int, tuple[int, ...]] = {}
-    for k in _generator_ks(M.algebra, span):
+    for k in (1 << e for e in M.algebra.generator_exponents(span)):
         rows = [0] * (M.dim * dim_n)
         for i in range(M.dim):
             for j in range(dim_n):
@@ -519,12 +517,13 @@ def cyclic_quotient(
 
     span = max(degrees) if degrees else 0
     tables: dict[int, tuple[int, ...]] = {}
-    for k in _generator_ks(algebra, span):
+    for e in algebra.generator_exponents(span):
+        k = 1 << e
         rows = [0] * len(reps)
         for i, (d, c) in enumerate(reps):
             if d + k > span:
                 continue
-            column = generator_matrix(algebra, k.bit_length() - 1, d)[c]
+            column = generator_matrix(algebra, e, d)[c]
             for c2 in bits(ideal[d + k].reduce(column)[0]):
                 rows[i] |= 1 << positions[(d + k, c2)]
         tables[k] = tuple(rows)
@@ -546,7 +545,8 @@ def extension_enumerate(
     for k in range(1, span + 1):
         if M.algebra.contains((k,)) and not target.contains((k,)):
             raise ValueError(f"{target.name} does not contain {M.algebra.name}")
-    new_ks = [k for k in _generator_ks(target, span) if not M.algebra.contains((k,))]
+    old = M.algebra.generator_exponents(span)
+    new_ks = [1 << e for e in target.generator_exponents(span) if e not in old]
     slots: list[tuple[int, int, tuple[int, ...]]] = []  # (k, source index, targets)
     for k in new_ks:
         for i in range(M.dim):
@@ -612,7 +612,7 @@ def hom_basis(M: FiniteModule, N: FiniteModule) -> list[ModuleMap]:
     # column p holds the equations unknown p enters; equation (c, i, l) is the
     # coefficient of y_l in (f Sq^k - Sq^k f)(x_i) for the c-th generator Sq^k
     columns = [0] * len(unknowns)
-    for c, k in enumerate(_generator_ks(M.algebra, span)):
+    for c, k in enumerate(1 << e for e in M.algebra.generator_exponents(span)):
         for i, row in enumerate(M.table(k)):
             for i2 in bits(row):
                 for j in targets[M.degrees[i2]]:

@@ -10,9 +10,11 @@ thin lifts of package primitives that only the tests need (`solve`,
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
-module maps), and nine reference routes: the resolver,
+module maps), and ten reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
+`reference_tables`, which reads a double's tables from its own blocks
+instead of its undoubled base;
 `reference_isomorphism`, which walks every invertible matrix in each degree
 instead of searching the Hom basis; `RowWalkingEchelon`, whose reduce walks
 every stored row instead of the pivots set in the vector;
@@ -42,15 +44,17 @@ from steen.gf2 import Echelon, bits, kernel, rank
 from steen.milnor import (
     Element,
     antipode,
+    basis_index,
     enumerate_basis,
     full_a,
     milnor_product,
+    mono_degree,
     normalize,
     sq,
     verschiebung_monomial,
 )
 from steen.modfile import serialize
-from steen.module import FiniteModule, ModuleMap, double, restrict
+from steen.module import FiniteModule, ModuleMap, double, restrict, shift
 from steen.resolution import Resolution
 
 Mono = tuple[int, ...]  # exponent tuple of xi_1, xi_2, ..., no trailing zeros
@@ -634,10 +638,37 @@ def reference_isomorphism(M, N) -> ModuleMap | None:
 # -- module validation over every pair of basis monomials ---------------------
 
 
+def _own_act_mono(M, mono, vec):
+    """Sq(mono) vec from M's own FreeMap blocks, never through an undoubled base."""
+    d = mono_degree(mono)
+    position = basis_index(M.algebra, d)[mono]
+    out = 0
+    for i in bits(vec):
+        if M.degrees[i] + d <= M.top:
+            out ^= M._action.block(i, d)[position]
+    return out
+
+
+def reference_tables(M):
+    """Every nonzero Sq^k table, 1 <= k <= span, from M's own blocks.
+
+    The package derives a double's tables from its undoubled base instead.
+    """
+    tables = {}
+    for k in range(1, M.span + 1):
+        if M.algebra.contains((k,)):
+            table = tuple(_own_act_mono(M, (k,), 1 << i) for i in range(M.dim))
+            if any(table):
+                tables[k] = table
+    return tables
+
+
 def all_pairs_associativity(M) -> list[str]:
     """(ab)x = a(bx) for every pair of positive-degree basis monomials a, b.
 
-    The package checks only a = Sq(2^e) and lets the expansion carry the rest.
+    The package checks only a = Sq(2^e) and lets the expansion carry the rest;
+    a double it first checks through its base.  Here every action is read
+    from the module's own blocks over its own algebra.
     """
     problems = []
     span = M.span
@@ -649,8 +680,10 @@ def all_pairs_associativity(M) -> list[str]:
                     for i in range(M.dim):
                         if M.degrees[i] + da + db > M.top:
                             continue
-                        rhs = M.act_mono(a, M.act_mono(b, 1 << i))
-                        lhs = M.act(ab, 1 << i)
+                        rhs = _own_act_mono(M, a, _own_act_mono(M, b, 1 << i))
+                        lhs = 0
+                        for m in ab.monomials:
+                            lhs ^= _own_act_mono(M, m, 1 << i)
                         if lhs != rhs:
                             problems.append((a, b, M.gens[i]))
     return problems
@@ -754,18 +787,24 @@ def reference_cyclic_quotient(algebra, relations, name):
 def reference_dualize(M, name=None):
     """The dual with chi(Sq^k) built as an algebra element through `antipode`.
 
-    The package runs the recurrence for chi(Sq^k) on M's own tables instead.
+    The package runs the recurrence for chi(Sq^k) on M's own tables instead,
+    and dualizes a double through its base.  Here M acts by its own blocks,
+    and only a double of span above 16, whose blocks are too costly, goes
+    through its base.
     """
     name = name or f"D({M.name})"
-    if M.vsource is not None:
-        base, k = M.vsource
-        return double(reference_dualize(base), k, name=name)
+    if M.undoubled is not None and M.span > 16:
+        base, k = M.undoubled
+        return shift(double(reference_dualize(base), k), -M.bottom, name)
     tables = {}
     for k in _generator_ks(M.algebra, M.span):
         chi = antipode(sq(k))
         rows = [0] * M.dim
         for j in range(M.dim):
-            for i in bits(M.act(chi, 1 << j)):
+            image = 0
+            for m in chi.monomials:
+                image ^= _own_act_mono(M, m, 1 << j)
+            for i in bits(image):
                 rows[i] |= 1 << j
         tables[k] = tuple(rows)
     gens = tuple(f"{g}'" for g in M.gens)

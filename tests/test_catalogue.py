@@ -206,7 +206,7 @@ def test_fixtures_are_current():
 
 
 def test_fixtures_parse_back():
-    for name in ("joker", "jokerP", "joker(2)", "joker2P1", "a1"):
+    for name in MODULE_NAMES:
         M = parse(fixture_path(name).read_text())
         assert M.validate() == []
         assert find_isomorphism(M, get_module(name)) is not None

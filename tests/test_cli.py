@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from steen.cli import main
@@ -113,6 +115,12 @@ def test_validate_checks_composite_lines(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert "Sq^3 on x0 is ['x3'] but the generator expansion gives []" in out
+    # the same false claim on a double is reported in the double's own degrees
+    fixture = Path(__file__).parent / "fixtures" / "joker_3_.mod"
+    path.write_text(fixture.read_text() + "sq 12 x0 = x3\n")
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "joker(3): Sq^12 on x0 is ['x3'] but the generator expansion gives []" in out
 
 
 def test_commands_reject_an_invalid_module_file(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from oracles import (
     reference_cyclic_quotient,
     reference_dualize,
     reference_isomorphism,
+    reference_tables,
 )
 from steen import milnor, module
 from steen.catalogue import MODULE_NAMES, get_module
@@ -25,7 +28,7 @@ from steen.milnor import (
     mono_degree,
     sq,
 )
-from steen.modfile import serialize
+from steen.modfile import parse, serialize
 from steen.module import (
     FiniteModule,
     coaction,
@@ -253,9 +256,9 @@ def test_double_composes():
     assert find_isomorphism(once_twice, at_once) is not None
 
 
-def test_shift_materializes():
+def test_shift_keeps_a_double():
     S = shift(double(question_mark(), 1), 5)
-    assert S.vsource is None
+    assert S.undoubled[1] == 1
     assert S.degrees == (5, 7, 11)
     assert S.validate() == []
 
@@ -274,8 +277,9 @@ def test_dualize_question_mark():
 def test_dualize_commutes_with_double():
     W = question_mark()
     via_base = dualize(double(W, 1))
-    assert via_base.vsource is not None
-    direct = dualize(restrict(double(W, 1), A2))
+    assert via_base.undoubled[1] == 1
+    # the reference dualizes a double of small span by its own A(2) blocks
+    direct = reference_dualize(restrict(double(W, 1), A2))
     assert find_isomorphism(restrict(via_base, A2), direct) is not None
 
 
@@ -284,9 +288,56 @@ def test_restrict_guards_upward():
         restrict(joker(), A2)
     J2 = double(joker(), 1)
     R = restrict(J2, A2)
-    assert R.vsource is None
-    assert R.tables == J2.tables
+    assert R.undoubled[1] == 1
+    assert R.tables == J2.tables == reference_tables(R)
     assert R.validate() == []
+
+
+def test_catalogue_doubles_act_as_their_own_blocks():
+    # the base route against the module's own blocks, where those are cheap
+    for name in MODULE_NAMES:
+        M = get_module(name)
+        if M.undoubled is not None and M.span <= 16:
+            assert M.tables == reference_tables(M), name
+
+
+def test_a_double_acts_only_by_its_own_algebra():
+    J2 = get_module("joker(2)")
+    assert J2.act_mono((4,), 1) == 1 << 2
+    with pytest.raises(ValueError, match=r"is not in A\(2\); cannot act on joker\(2\)"):
+        J2.act_mono((8,), 1)
+
+
+def test_a_double_over_a_wider_than_the_degree_cap_is_refused():
+    # the cap reads the module's own span, double or not
+    D = double(get_module("joker0"), 5)
+    assert D.undoubled[0].validate() == []
+    with pytest.raises(ValueError, match="span 128 over A exceeds the degree cap"):
+        D.validate()
+
+
+def test_double_carries_composite_claims():
+    W = question_mark()
+    tables = {**W.generator_tables, 3: (1 << 2, 0, 0)}  # Sq^3 x0 = x3 is false
+    false = FiniteModule("w", W.algebra, W.gens, W.degrees, tables)
+    assert false.validate()
+    assert double(false, 1).validate()
+
+
+def test_deep_doubles_act_through_an_a1_base(monkeypatch):
+    # a double read from a file or made by tensor is recognised from its
+    # degrees, so validating it and deriving its tables expand over A(1) only
+    expansion = milnor._expansion_table
+
+    def only_a1(algebra, d):
+        assert algebra == A1, f"expansion over {algebra.name} in degree {d}"
+        return expansion(algebra, d)
+
+    monkeypatch.setattr(milnor, "_expansion_table", only_a1)
+    fixture = Path(__file__).parent / "fixtures" / "joker_8_.mod"
+    assert parse(fixture.read_text()).validate() == []
+    J, J6 = joker(), get_module("joker(6)")
+    assert tensor(J6, J6).tables == {j << 5: t for j, t in tensor(J, J).tables.items()}
 
 
 def test_tensor_unit_and_cartan():
@@ -422,7 +473,10 @@ def test_find_isomorphism_search_limit(monkeypatch):
 
 
 def _plain(M, name=None, tables=None):
-    """M rebuilt from its Sq(2^e) tables alone, so validate checks its action."""
+    """M rebuilt from its Sq(2^e) tables alone, so validate checks its action.
+
+    A double stays one and is checked through its base first.
+    """
     tables = M.generator_tables if tables is None else tables
     return FiniteModule(name or M.name, M.algebra, M.gens, M.degrees, tables)
 
@@ -430,7 +484,7 @@ def _plain(M, name=None, tables=None):
 def _flipped(M):
     """M with one bit of one Sq(2^e) table flipped, for each admissible bit."""
     tables = M.generator_tables
-    for k in module._generator_ks(M.algebra, M.span):
+    for k in (1 << e for e in M.algebra.generator_exponents(M.span)):
         for i in range(M.dim):
             for j in M.basis_at(M.degrees[i] + k):
                 rows = list(tables.get(k, (0,) * M.dim))
