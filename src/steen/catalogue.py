@@ -236,20 +236,6 @@ def _entry_checks(name: str) -> list[str]:
         candidate = M if M.algebra == hand.algebra else restrict(M, hand.algebra)
         if find_isomorphism(candidate, hand) is None:
             problems.append("construction does not match the transcribed diagram")
-    if name == "joker(2)":
-        # cyclic presentations, with and without the redundant third primitive
-        for rels in ([sq(1), sq(0, 1), sq(0, 0, 1), sq(6)], [sq(1), sq(0, 1), sq(6)]):
-            quotient = cyclic_quotient(an(2), rels, "joker(2)-presentation")
-            if find_isomorphism(restrict(M, an(2)), quotient) is None:
-                problems.append(f"cyclic presentation with {len(rels)} relations fails")
-    if name == "joker(3)":
-        for rels in (
-            [sq(1), sq(0, 1), sq(0, 0, 1), sq(2), sq(0, 2), sq(12)],
-            [sq(1), sq(2), sq(0, 2), sq(12)],
-        ):
-            quotient = cyclic_quotient(an(3), rels, "joker(3)-presentation")
-            if find_isomorphism(restrict(M, an(3)), quotient) is None:
-                problems.append(f"cyclic presentation with {len(rels)} relations fails")
     if name == "joker2P1":
         # cyclic presentation: the three exterior primitives plus Sq^4 Sq^6
         rels = [sq(1), sq(0, 1), sq(0, 0, 1), sq(4) * sq(6)]

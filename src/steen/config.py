@@ -10,7 +10,7 @@ environment.
 from __future__ import annotations
 
 import os
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from steen.resolution import S_MAX_LIMIT, T_MAX_LIMIT
 
@@ -31,19 +31,15 @@ class Config(NamedTuple):
     format: str = "text"
 
 
-def from_env(
-    base: Config | None = None, environ: Mapping[str, str] | None = None
-) -> Config:
+def from_env() -> Config:
     """Apply STEEN_<FIELD> overrides; any other STEEN_ variable is an error."""
-    cfg = Config() if base is None else base
-    env = os.environ if environ is None else environ
     known = {ENV_PREFIX + name.upper() for name in Config._fields}
-    for key in sorted(env):
+    for key in sorted(os.environ):
         if key.startswith(ENV_PREFIX) and key not in known:
             raise ValueError(f"{key}: unknown setting; known: {', '.join(sorted(known))}")
     updates: dict[str, object] = {}
     for name in Config._fields:
-        raw = env.get(ENV_PREFIX + name.upper())
+        raw = os.environ.get(ENV_PREFIX + name.upper())
         if raw is None:
             continue
         if name in _INT_FIELDS:
@@ -55,7 +51,7 @@ def from_env(
                 ) from None
         else:
             updates[name] = raw
-    return cfg._replace(**updates) if updates else cfg
+    return Config(**updates)
 
 
 def config_problems(cfg: Config) -> list[str]:

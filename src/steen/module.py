@@ -13,10 +13,15 @@ action is multiplicative by taking each generator Sq(2^e) against each
 basis monomial b, reading Sq(2^e) b from the columns of `generator_matrix`;
 the recurrence makes that enough.
 
-A module whose degrees all agree mod 2^k is a double, however it was made:
-`undoubled` reads its base off the degrees, and the module acts, validates
-and dualizes through that base, building no block in the doubled degrees,
-where a deep double would need the basis of A(n) thousands of degrees up.
+A module whose degrees all agree mod 2^k is a double, however it was made,
+and its `doubling` is the largest such k.  Its `FreeMap` is built over the
+base algebra A(n - k), or A, on the degrees (d - bottom) / 2^k, with the
+given Sq(2^(e+k)) tables as Sq(2^e): Sq(x) acts as Sq(x / 2^k) on that
+base, or as zero unless 2^k divides every exponent of x.  Validation and
+duals run on the base too, and name the module's own operations.  So no
+block is built in the doubled degrees, where a deep double would need the
+basis of A(n) thousands of degrees up.  A module that is no double has
+doubling 0 and is its own base, shifted to start in degree 0.
 
 A cyclic quotient A(n) / (relations) is the cokernel of a free map: a
 `FreeMap` from the free module on the relations into A(n), whose image in
@@ -121,12 +126,30 @@ class FiniteModule:
         self._claims = {k: t for k, t in clean.items() if k & (k - 1)}
         self.validated = False
         self._zeros = (0,) * dim
-        # the free module on the basis, g_i -> x_i, acting through the tables
+        # doubling: the largest k >= 1, at most n over A(n), with all degrees
+        # equal mod 2^k, else 0.  Such a module is a double: it acts through
+        # its base, with degrees (d - bottom) / 2^k over A(n - k), or over A,
+        # whose Sq^j is the given Sq^(2^k j).  The module is valid exactly
+        # when its base is, and Sq(x) then acts as Sq(x / 2^k) does on the
+        # base, or as zero unless 2^k divides every exponent of x.  Proof:
+        # the Verschiebung V: A(n) -> A(n-1), dual to xi -> xi^2, is a
+        # surjective Hopf map whose kernel is the two-sided ideal generated
+        # by its Hopf kernel E(Q_0, ..., Q_n), which is the ideal of
+        # Sq^1 = Q_0, as Q_(i+1) = [Sq^(2^(i+1)), Q_i].  Sq^1 acts as zero
+        # on a module in one parity, so the ideal does and the action
+        # factors through V; k steps give V^k.  Over A, read A for every A(m).
+        bottom = min(degrees, default=0)
+        k = self.span.bit_length() if algebra.n is None else algebra.n
+        while k and any((d - bottom) % (1 << k) for d in degrees):
+            k -= 1
+        self.doubling = k
+        # the free module on the base, g_i -> x_i, acting through the tables
         self._action = FreeMap(
-            algebra, lambda e, u: self._generators.get(1 << e, self._zeros)
+            algebra if algebra.n is None else Algebra(n=algebra.n - k),
+            lambda e, u: self._generators.get(1 << (e + k), self._zeros),
         )
         for i, d in enumerate(degrees):
-            self._action.add(d, 1 << i)
+            self._action.add((d - bottom) >> k, 1 << i)
 
     # -- basic geometry --
 
@@ -156,47 +179,18 @@ class FiniteModule:
         return tuple(i for i, deg in enumerate(self.degrees) if deg == d)
 
     @cached_property
-    def undoubled(self) -> tuple[FiniteModule, int] | None:
-        """(base, k) for the largest k >= 1, at most n over A(n), with all
-        degrees equal mod 2^k; None when there is none.
-
-        The base has degrees (d - bottom) / 2^k over A(n - k), or over A, and
-        takes the given Sq^(2^k j) table, claims included, as its Sq^j.  The
-        module is valid exactly when its base is, and Sq(x) then acts as
-        Sq(x / 2^k) does on the base, or as zero unless 2^k divides every
-        exponent of x.  Proof: the Verschiebung V: A(n) -> A(n-1), dual to
-        xi -> xi^2, is a surjective Hopf map whose kernel is the two-sided
-        ideal generated by its Hopf kernel E(Q_0, ..., Q_n), which is the
-        ideal of Sq^1 = Q_0, as Q_(i+1) = [Sq^(2^(i+1)), Q_i].  Sq^1 acts as
-        zero on a module in one parity, so the ideal does and the action
-        factors through V; k steps give V^k.  Over A, read A for every A(m).
-        """
-        n = self.algebra.n
-        k = self.span.bit_length() if n is None else n
-        while k and any((d - self.bottom) % (1 << k) for d in self.degrees):
-            k -= 1
-        if not k:
-            return None
-        return FiniteModule(
-            self.name,
-            self.algebra if n is None else Algebra(n=n - k),
-            self.gens,
-            tuple((d - self.bottom) >> k for d in self.degrees),
-            {j >> k: t for j, t in (self._generators | self._claims).items() if not j % (1 << k)},
-        ), k
-
-    @cached_property
     def tables(self) -> dict[int, tuple[int, ...]]:
         """Every nonzero Sq^k table, 1 <= k <= span, derived by the action.
 
-        Sq^k lies in A(n) exactly when k < 2^(n+1).  A double takes the Sq^j
-        table of its base as Sq^(2^k j).
+        Sq^k lies in A(n) exactly when k < 2^(n+1).  A double's Sq^k is zero
+        unless 2^doubling divides k.
         """
-        if self.undoubled is not None:
-            base, k = self.undoubled
-            return {j << k: t for j, t in base.tables.items()}
         end = self.span + 1 if self.algebra.n is None else min(self.span + 1, 2 << self.algebra.n)
-        rows = {k: [self._act_basis((k,), i) for i in range(self.dim)] for k in range(1, end)}
+        step = 1 << self.doubling
+        rows = {
+            k: [self._act_basis((k,), i) for i in range(self.dim)]
+            for k in range(step, end, step)
+        }
         return {k: tuple(t) for k, t in rows.items() if any(t)}
 
     @property
@@ -231,24 +225,20 @@ class FiniteModule:
         return out
 
     def _act_basis(self, mono: Monomial, i: int) -> int:
-        if self.undoubled is not None and self.algebra.contains(mono):
-            base, k = self.undoubled
-            vm = verschiebung_monomial(k, mono)
-            return 0 if vm is None else base._act_basis(vm, i)
-        return self._act_directly(mono, i)
-
-    def _act_directly(self, mono: Monomial, i: int) -> int:
-        # Sq(mono) x_i by own blocks, not a base; names an op outside the algebra
+        # Sq(mono) x_i: the base acts by V^k(mono), and the rest acts as zero
         d = mono_degree(mono)
         if self.degrees[i] + d > self.top:
             return 0
-        position = basis_index(self.algebra, d).get(mono)
-        if position is None:
+        if not self.algebra.contains(mono):
             raise ValueError(
                 f"{mono_str(mono)} is not in {self.algebra.name}; "
                 f"cannot act on {self.name}"
             )
-        return self._action.block(i, d)[position]
+        base = verschiebung_monomial(self.doubling, mono)
+        if base is None:
+            return 0
+        d >>= self.doubling
+        return self._action.block(i, d)[basis_index(self._action.algebra, d)[base]]
 
     # -- validation --
 
@@ -256,17 +246,15 @@ class FiniteModule:
         """Check the module against its definition; empty list means valid.
 
         Over A, a span above DEGREE_CAP is a ValueError: the algebra is only
-        enumerated up to that degree.  A double whose base is valid is valid;
-        else the module itself is checked, so problems name its own operations.
+        enumerated up to that degree.  A double is checked on its base, and
+        each problem names the module's own operations.
         """
         if self.algebra.n is None and self.span > DEGREE_CAP:
             raise ValueError(
                 f"{self.name}: span {self.span} over A exceeds the degree cap"
                 f" DEGREE_CAP = {DEGREE_CAP}"
             )
-        problems = []
-        if self.undoubled is None or self.undoubled[0].validate():
-            problems = self._validate_claims() + self._validate_associativity()
+        problems = self._validate_claims() + self._validate_associativity()
         self.validated = not problems
         return problems
 
@@ -275,7 +263,7 @@ class FiniteModule:
         problems = []
         for k, claim in self._claims.items():
             for i, row in enumerate(claim):
-                derived = self._act_directly((k,), i)
+                derived = self._act_basis((k,), i)
                 if row != derived:
                     problems.append(
                         f"{self.name}: Sq^{k} on {self.gens[i]} is "
@@ -286,38 +274,41 @@ class FiniteModule:
 
     def _validate_associativity(self) -> list[str]:
         # rho(Sq(2^e) b) = rho(Sq(2^e)) rho(b) for each generator and basis
-        # monomial b makes the action multiplicative: acting by a is defined
-        # through a = sum Sq(2^e) a', so by induction on |a|
+        # monomial b of the base makes the action multiplicative: acting by a
+        # is defined through a = sum Sq(2^e) a', so by induction on |a|
         # rho(ab) = sum rho(Sq(2^e)) rho(a'b) = rho(a) rho(b)
         problems = []
-        span = self.span
-        for e in self.algebra.generator_exponents(span):
-            k = 1 << e
-            for db in range(1, span - k + 1):
-                basis = enumerate_basis(self.algebra, db)
+        k = self.doubling
+        base = self._action.algebra
+        span = self.span >> k
+        for e in base.generator_exponents(span):
+            step = 1 << e
+            for db in range(1, span - step + 1):
+                basis = enumerate_basis(base, db)
                 if not basis:
                     break  # past the top class of A(n): every higher degree is empty
-                columns = generator_matrix(self.algebra, e, db)
-                rows = [i for i, di in enumerate(self.degrees) if di + k + db <= self.top]
+                columns = generator_matrix(base, e, db)
+                rows = [i for i, di in enumerate(self._action.degrees) if di + step + db <= span]
                 # block(i, d)[p] is x x_i for the p-th degree-d monomial x
                 for pos, (b, kb) in enumerate(zip(basis, columns)):
                     for i in rows:
-                        rhs = self.act_mono((k,), self._action.block(i, db)[pos])
-                        upper = self._action.block(i, db + k)
+                        rhs = self.act_mono((step << k,), self._action.block(i, db)[pos])
+                        upper = self._action.block(i, db + step)
                         lhs = 0
                         for p in bits(kb):
                             lhs ^= upper[p]
                         if lhs != rhs:
+                            own = mono_str(tuple(r << k for r in b))
                             problems.append(
-                                f"{self.name}: (Sq^{k}*{mono_str(b)}){self.gens[i]} = "
+                                f"{self.name}: (Sq^{step << k}*{own}){self.gens[i]} = "
                                 f"{self.ids_of(lhs)} but acting in two steps gives "
                                 f"{self.ids_of(rhs)}"
                             )
         return problems
 
 
-def trivial_module(algebra: Algebra, name: str = "F2", gen: str = "u") -> FiniteModule:
-    return FiniteModule(name, algebra, (gen,), (0,), {})
+def trivial_module(algebra: Algebra, name: str = "F2") -> FiniteModule:
+    return FiniteModule(name, algebra, ("u",), (0,), {})
 
 
 # -- constructions -------------------------------------------------------------
@@ -338,33 +329,31 @@ def dualize(M: FiniteModule, name: str | None = None) -> FiniteModule:
     """The dual module: (Sq^k f)(x) = f(chi(Sq^k) x); degrees are negated.
 
     chi(Sq^k) acts through chi(Sq^n) = sum_{i=1..n} Sq^i chi(Sq^(n-i)) on M's
-    own Sq^i tables.  Dual basis ids carry a trailing mark.  Doubles dualize
-    through their base, since conjugation commutes with the Verschiebung.
+    own Sq^i tables.  Dual basis ids carry a trailing mark.  A double runs
+    the recurrence on its base, reading Sq^(2^k i) for Sq^i, since
+    conjugation commutes with the Verschiebung.
     """
-    name = name or f"D({M.name})"
-    if M.undoubled is not None:
-        base, k = M.undoubled
-        return shift(double(dualize(base), k), -M.bottom, name)
-    ks = [1 << e for e in M.algebra.generator_exponents(M.span)]
-    # chi[n][j]: chi(Sq^n) applied to basis element j
+    k = M.doubling
+    cs = [1 << e for e in M._action.algebra.generator_exponents(M.span >> k)]
+    # chi[n][j]: chi(Sq^n) of the base applied to basis element j
     chi = [tuple(1 << j for j in range(M.dim))]
-    for n in range(1, max(ks, default=0) + 1):
+    for n in range(1, max(cs, default=0) + 1):
         images = [0] * M.dim
         for i in range(1, n + 1):
-            table = M.table(i)
+            table = M.table(i << k)
             for j, below in enumerate(chi[n - i]):
                 for b in bits(below):
                     images[j] ^= table[b]
         chi.append(tuple(images))
     tables: dict[int, tuple[int, ...]] = {}
-    for k in ks:
+    for c in cs:
         rows = [0] * M.dim
-        for j, image in enumerate(chi[k]):
+        for j, image in enumerate(chi[c]):
             for i in bits(image):
                 rows[i] |= 1 << j
-        tables[k] = tuple(rows)
+        tables[c << k] = tuple(rows)
     return FiniteModule(
-        name,
+        name or f"D({M.name})",
         M.algebra,
         tuple(f"{g}'" for g in M.gens),
         tuple(-d for d in M.degrees),
@@ -376,7 +365,8 @@ def double(M: FiniteModule, k: int, name: str | None = None) -> FiniteModule:
     """Degree-doubling along the k-fold Verschiebung: Sq^{2^k j} acts as Sq^j did.
 
     Over A(n) the result is an A(n+k)-module; over the whole algebra it stays
-    one.  It acts through its undoubling; M's composite claims carry over.
+    one.  Its degrees all agree mod 2^k, so its `doubling` is k or more and
+    it acts through a base as M does; M's composite claims carry over.
     """
     if k < 0:
         raise ValueError("doubling exponent must be non-negative")

@@ -95,7 +95,7 @@ def _alpha_vanishes(M: FiniteModule, alpha_degree: int, phi_degree: int) -> bool
     only when all its exponents are divisible by the doubling power; the
     divisible monomials are scaled copies of a much lower-degree basis.
     """
-    base, e = M.undoubled
+    e = M.doubling
     step = 1 << e
     if alpha_degree % step:
         return True

@@ -10,11 +10,12 @@ thin lifts of package primitives that only the tests need (`solve`,
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
-module maps), and ten reference routes: the resolver,
+module maps), and eleven reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
 `reference_tables`, which reads a double's tables from its own blocks
-instead of its undoubled base;
+over its own algebra instead of its base; `reference_problems`, which
+lists validate's problems from those own blocks instead of the base's;
 `reference_isomorphism`, which walks every invertible matrix in each degree
 instead of searching the Hom basis; `RowWalkingEchelon`, whose reduce walks
 every stored row instead of the pivots set in the vector;
@@ -38,17 +39,21 @@ from collections import deque
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
+from weakref import WeakKeyDictionary
 
 from steen.dual import zeta_in_xi
 from steen.gf2 import Echelon, bits, kernel, rank
 from steen.milnor import (
+    Algebra,
     Element,
+    FreeMap,
     antipode,
     basis_index,
     enumerate_basis,
     full_a,
     milnor_product,
     mono_degree,
+    mono_str,
     normalize,
     sq,
     verschiebung_monomial,
@@ -638,21 +643,35 @@ def reference_isomorphism(M, N) -> ModuleMap | None:
 # -- module validation over every pair of basis monomials ---------------------
 
 
+_OWN_MAPS = WeakKeyDictionary()
+
+
 def _own_act_mono(M, mono, vec):
-    """Sq(mono) vec from M's own FreeMap blocks, never through an undoubled base."""
+    """Sq(mono) vec from a FreeMap over M's own algebra and degrees.
+
+    The package acts on a double through its base; this map is built from
+    M's Sq(2^e) tables as given, once per module.
+    """
+    own = _OWN_MAPS.get(M)
+    if own is None:
+        tables = M.generator_tables
+        zeros = (0,) * M.dim
+        own = _OWN_MAPS[M] = FreeMap(M.algebra, lambda e, u: tables.get(1 << e, zeros))
+        for i, d in enumerate(M.degrees):
+            own.add(d, 1 << i)
     d = mono_degree(mono)
     position = basis_index(M.algebra, d)[mono]
     out = 0
     for i in bits(vec):
         if M.degrees[i] + d <= M.top:
-            out ^= M._action.block(i, d)[position]
+            out ^= own.block(i, d)[position]
     return out
 
 
 def reference_tables(M):
     """Every nonzero Sq^k table, 1 <= k <= span, from M's own blocks.
 
-    The package derives a double's tables from its undoubled base instead.
+    The package derives a double's tables from its base instead.
     """
     tables = {}
     for k in range(1, M.span + 1):
@@ -666,8 +685,8 @@ def reference_tables(M):
 def all_pairs_associativity(M) -> list[str]:
     """(ab)x = a(bx) for every pair of positive-degree basis monomials a, b.
 
-    The package checks only a = Sq(2^e) and lets the expansion carry the rest;
-    a double it first checks through its base.  Here every action is read
+    The package checks only a = Sq(2^e) and lets the expansion carry the rest,
+    and checks a double on its base.  Here every action is read
     from the module's own blocks over its own algebra.
     """
     problems = []
@@ -686,6 +705,42 @@ def all_pairs_associativity(M) -> list[str]:
                             lhs ^= _own_act_mono(M, m, 1 << i)
                         if lhs != rhs:
                             problems.append((a, b, M.gens[i]))
+    return problems
+
+
+def reference_problems(M) -> list[str]:
+    """The problems `validate` lists, with every action read from M's own
+    blocks over its own algebra and each Sq(2^e) b an explicit product.
+
+    The package checks a double on its base and writes each problem back in
+    the module's own operations.
+    """
+    problems = []
+    for k, claim in M._claims.items():
+        for i, row in enumerate(claim):
+            derived = _own_act_mono(M, (k,), 1 << i)
+            if row != derived:
+                problems.append(
+                    f"{M.name}: Sq^{k} on {M.gens[i]} is {M.ids_of(row)} but the "
+                    f"generator expansion gives {M.ids_of(derived)}"
+                )
+    span = M.span
+    for k in _generator_ks(M.algebra, span):
+        for db in range(1, span - k + 1):
+            for b in enumerate_basis(M.algebra, db):
+                product = milnor_product(sq(k), sq(*b)).monomials
+                for i in range(M.dim):
+                    if M.degrees[i] + k + db > M.top:
+                        continue
+                    rhs = _own_act_mono(M, (k,), _own_act_mono(M, b, 1 << i))
+                    lhs = 0
+                    for m in product:
+                        lhs ^= _own_act_mono(M, m, 1 << i)
+                    if lhs != rhs:
+                        problems.append(
+                            f"{M.name}: (Sq^{k}*{mono_str(b)}){M.gens[i]} = "
+                            f"{M.ids_of(lhs)} but acting in two steps gives {M.ids_of(rhs)}"
+                        )
     return problems
 
 
@@ -784,17 +839,32 @@ def reference_cyclic_quotient(algebra, relations, name):
     return FiniteModule(name, algebra, tuple(ids), tuple(d for d, _ in reps), tables)
 
 
+def _doubling(M):
+    """The largest k, at most n over A(n), with all of M's degrees equal mod 2^k."""
+    k = M.span.bit_length() if M.algebra.n is None else M.algebra.n
+    while k and any((d - M.bottom) % (1 << k) for d in M.degrees):
+        k -= 1
+    return k
+
+
 def reference_dualize(M, name=None):
     """The dual with chi(Sq^k) built as an algebra element through `antipode`.
 
-    The package runs the recurrence for chi(Sq^k) on M's own tables instead,
-    and dualizes a double through its base.  Here M acts by its own blocks,
-    and only a double of span above 16, whose blocks are too costly, goes
-    through its base.
+    The package runs the recurrence for chi(Sq^k) on M's own tables instead.
+    Here M acts by its own blocks, and only a double of span above 16, whose
+    blocks are too costly, is dualized through a base built here from its
+    degrees and tables.
     """
     name = name or f"D({M.name})"
-    if M.undoubled is not None and M.span > 16:
-        base, k = M.undoubled
+    k = _doubling(M) if M.span > 16 else 0
+    if k:
+        base = FiniteModule(
+            M.name,
+            M.algebra if M.algebra.n is None else Algebra(n=M.algebra.n - k),
+            M.gens,
+            tuple((d - M.bottom) >> k for d in M.degrees),
+            {j >> k: t for j, t in M.generator_tables.items()},
+        )
         return shift(double(reference_dualize(base), k), -M.bottom, name)
     tables = {}
     for k in _generator_ks(M.algebra, M.span):

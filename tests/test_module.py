@@ -15,6 +15,7 @@ from oracles import (
     reference_cyclic_quotient,
     reference_dualize,
     reference_isomorphism,
+    reference_problems,
     reference_tables,
 )
 from steen import milnor, module
@@ -171,8 +172,8 @@ def test_cyclic_quotient_stops_once_the_ideal_fills_2n_degrees(monkeypatch, n):
 
 
 @st.composite
-def presentations(draw):
-    algebra = draw(st.sampled_from([A1, A2]))
+def presentations(draw, algebras=st.sampled_from([A1, A2])):
+    algebra = draw(algebras)
     relations = []
     for _ in range(draw(st.integers(1, 3))):
         d = draw(st.integers(1, algebra.top_degree))
@@ -188,6 +189,29 @@ def test_random_cyclic_quotients_match_the_product_route(presentation):
     algebra, relations = presentation
     Q = cyclic_quotient(algebra, relations, "q")
     assert serialize(Q) == serialize(reference_cyclic_quotient(algebra, relations, "q"))
+
+
+@st.composite
+def presentation_pairs(draw):
+    algebra, relations = draw(presentations())
+    return (algebra, relations), draw(presentations(st.just(algebra)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(presentation_pairs())
+def test_random_doubles_duals_and_tensors_agree_across_routes(pair):
+    (algebra, m_relations), (_, n_relations) = pair
+    M = cyclic_quotient(algebra, m_relations, "M")
+    N = cyclic_quotient(algebra, n_relations, "N")
+    M2 = double(M, 1)
+    # the dual through the base against the antipode acting on M2's own blocks
+    if M2.span <= 16:
+        assert serialize(dualize(M2)) == serialize(reference_dualize(M2))
+    # the dual twice against the identity
+    assert find_isomorphism(dualize(dualize(M)), M) is not None
+    # doubling the tensor against tensoring the doubles
+    if M.dim * N.dim <= 100:
+        assert find_isomorphism(double(tensor(M, N), 1), tensor(M2, double(N, 1))) is not None
 
 
 def test_dualize_matches_the_antipode_route():
@@ -258,7 +282,7 @@ def test_double_composes():
 
 def test_shift_keeps_a_double():
     S = shift(double(question_mark(), 1), 5)
-    assert S.undoubled[1] == 1
+    assert S.doubling == 1
     assert S.degrees == (5, 7, 11)
     assert S.validate() == []
 
@@ -277,7 +301,7 @@ def test_dualize_question_mark():
 def test_dualize_commutes_with_double():
     W = question_mark()
     via_base = dualize(double(W, 1))
-    assert via_base.undoubled[1] == 1
+    assert via_base.doubling == 1
     # the reference dualizes a double of small span by its own A(2) blocks
     direct = reference_dualize(restrict(double(W, 1), A2))
     assert find_isomorphism(restrict(via_base, A2), direct) is not None
@@ -288,7 +312,7 @@ def test_restrict_guards_upward():
         restrict(joker(), A2)
     J2 = double(joker(), 1)
     R = restrict(J2, A2)
-    assert R.undoubled[1] == 1
+    assert R.doubling == 1
     assert R.tables == J2.tables == reference_tables(R)
     assert R.validate() == []
 
@@ -297,7 +321,7 @@ def test_catalogue_doubles_act_as_their_own_blocks():
     # the base route against the module's own blocks, where those are cheap
     for name in MODULE_NAMES:
         M = get_module(name)
-        if M.undoubled is not None and M.span <= 16:
+        if M.doubling and M.span <= 16:
             assert M.tables == reference_tables(M), name
 
 
@@ -311,7 +335,7 @@ def test_a_double_acts_only_by_its_own_algebra():
 def test_a_double_over_a_wider_than_the_degree_cap_is_refused():
     # the cap reads the module's own span, double or not
     D = double(get_module("joker0"), 5)
-    assert D.undoubled[0].validate() == []
+    assert get_module("joker0").validate() == []
     with pytest.raises(ValueError, match="span 128 over A exceeds the degree cap"):
         D.validate()
 
@@ -334,8 +358,13 @@ def test_deep_doubles_act_through_an_a1_base(monkeypatch):
         return expansion(algebra, d)
 
     monkeypatch.setattr(milnor, "_expansion_table", only_a1)
-    fixture = Path(__file__).parent / "fixtures" / "joker_8_.mod"
-    assert parse(fixture.read_text()).validate() == []
+    fixtures = Path(__file__).parent / "fixtures"
+    assert parse((fixtures / "joker_8_.mod").read_text()).validate() == []
+    # an invalid double is checked on its base too, in its own operations
+    text = (fixtures / "joker_6_.mod").read_text().replace("sq 64 x0 = x2\n", "")
+    assert parse(text).validate() == [
+        "joker(6): (Sq^64*Sq(64))x0 = ['x4'] but acting in two steps gives []"
+    ]
     J, J6 = joker(), get_module("joker(6)")
     assert tensor(J6, J6).tables == {j << 5: t for j, t in tensor(J, J).tables.items()}
 
@@ -475,7 +504,7 @@ def test_find_isomorphism_search_limit(monkeypatch):
 def _plain(M, name=None, tables=None):
     """M rebuilt from its Sq(2^e) tables alone, so validate checks its action.
 
-    A double stays one and is checked through its base first.
+    A double stays one and is checked through its base.
     """
     tables = M.generator_tables if tables is None else tables
     return FiniteModule(name or M.name, M.algebra, M.gens, M.degrees, tables)
@@ -507,3 +536,19 @@ def test_generator_check_agrees_with_all_pairs():
         assert valid == (all_pairs_associativity(M) == []), M.name
         verdicts.append(valid)
     assert verdicts.count(True) >= 23 and verdicts.count(False) >= 100
+
+
+def test_validate_names_a_doubles_own_operations():
+    # the base route's problems, written back in the module's own operations,
+    # against the same checks run on the module's own blocks
+    modules = [get_module(name) for name in MODULE_NAMES]
+    modules = [M for M in modules if M.span <= 16]
+    bases = ("joker", "jokerP", "jokerPP1", "w1", "w4", "a1")
+    modules += [double(get_module(name), k) for name in bases for k in (1, 2)]
+    mutants = [N for M in modules for N in _flipped(M)]
+    invalid = 0
+    for M in mutants:
+        problems = M.validate()
+        assert problems == reference_problems(M), M.name
+        invalid += problems != []
+    assert (len(mutants), invalid) == (239, 201)
