@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 __all__ = ["Echelon", "bits", "kernel", "rank"]
 
@@ -16,16 +16,18 @@ def bits(x: int) -> Iterator[int]:
 
 
 class Echelon:
-    """Row space over GF(2), kept in reduced echelon form.
+    """Row space over GF(2), kept in echelon form.
 
     Rows are int bitsets (bit j = column j).  Each inserted row may carry a
     tag bitset; reduce() reports membership as an XOR of tags, which is how
     callers recover kernel combinations and solutions.
 
-    Each row's pivot is its lowest set bit, and no row has another row's
-    pivot set.  So the rows that act on a vector are exactly those whose
-    pivots it has set, and `_mask`, the OR of all pivots, picks them out:
-    XORing one of them clears its own pivot and leaves the others alone.
+    Each row's pivot is its lowest set bit, and no row holds the pivot of a
+    row stored before it.  So XORing the row of the lowest pivot set in a
+    vector clears that pivot and changes only higher bits; reduce() repeats
+    that until no pivot (`_mask` is their OR) is set.  The residual is then
+    the one representative of the vector with no pivot set, so it and the
+    pivots, the lowest bits of the row space, depend only on that space.
     """
 
     __slots__ = ("_rows", "_mask")
@@ -46,32 +48,33 @@ class Echelon:
         the row space, and combo is tag XORed with the tags of the rows used.
         """
         rows = self._rows
-        hits = vec & self._mask
+        mask = self._mask
+        hits = vec & mask
         while hits:
-            pivot = hits & -hits
-            row, rtag = rows[pivot]
+            row, rtag = rows[hits & -hits]
             vec ^= row
             tag ^= rtag
-            hits ^= pivot
+            hits = vec & mask
         return vec, tag
 
     def add(self, vec: int, tag: int = 0) -> tuple[int, int]:
         """Insert vec if independent of the stored rows.
 
         Returns reduce(vec, tag).  A zero residual means vec was dependent
-        and nothing was inserted.  The new row is cleared from the pivots of
-        the old ones, and its pivot from theirs, so the rows stay reduced.
+        and nothing was inserted; otherwise the residual is stored under its
+        lowest bit, and the older rows are left as they are.
         """
         vec, tag = self.reduce(vec, tag)
         if vec:
             pivot = vec & -vec
-            rows = self._rows
-            for p, (row, rtag) in rows.items():
-                if row & pivot:
-                    rows[p] = (row ^ vec, rtag ^ tag)
-            rows[pivot] = (vec, tag)
+            self._rows[pivot] = (vec, tag)
             self._mask |= pivot
         return vec, tag
+
+    def extend(self, vecs: Iterable[int]) -> list[int]:
+        """Add each vecs[i] with tag 1 << i; the dependent ones' combos, in order."""
+        added = (self.add(vec, 1 << i) for i, vec in enumerate(vecs))
+        return [combo for residual, combo in added if not residual]
 
     def pivots(self) -> list[int]:
         """Pivot column indices, ascending."""
@@ -81,21 +84,14 @@ class Echelon:
 def rank(rows: Iterable[int]) -> int:
     """Rank of the matrix whose rows are the given bitsets."""
     ech = Echelon()
-    for row in rows:
-        ech.add(row)
+    ech.extend(rows)
     return ech.rank
 
 
-def kernel(rows: Sequence[int]) -> list[int]:
+def kernel(rows: Iterable[int]) -> list[int]:
     """Basis of left-kernel combos: c with XOR of rows[i] over bits i of c zero.
 
     Combos come out with strictly increasing top bit, one per dependent row,
     so the result is deterministic and visibly independent.
     """
-    ech = Echelon()
-    out: list[int] = []
-    for i, row in enumerate(rows):
-        residual, combo = ech.add(row, 1 << i)
-        if residual == 0:
-            out.append(combo)
-    return out
+    return Echelon().extend(rows)

@@ -270,11 +270,7 @@ def _admissible_data(d: int) -> tuple[tuple[Word, ...], Echelon, dict[Monomial, 
     words = admissible_words(d)
     index = basis_index(full_a(), d)
     ech = Echelon()
-    for w, word in enumerate(words):
-        vec = 0
-        for m in _word_monomials(word):
-            vec ^= 1 << index[m]
-        ech.add(vec, 1 << w)
+    ech.extend(sum(1 << index[m] for m in _word_monomials(word)) for word in words)
     return words, ech, index
 
 
@@ -284,9 +280,8 @@ def to_admissible(a: Element) -> tuple[Word, ...]:
     by_degree: dict[int, int] = {}
     for m in a.monomials:
         d = mono_degree(m)
-        words, ech, index = _admissible_data(d)
-        by_degree.setdefault(d, 0)
-        by_degree[d] ^= 1 << index[m]
+        index = _admissible_data(d)[2]
+        by_degree[d] = by_degree.get(d, 0) ^ (1 << index[m])
     for d, vec in by_degree.items():
         words, ech, _ = _admissible_data(d)
         residual, combo = ech.reduce(vec)

@@ -26,9 +26,9 @@ doubling 0 and is its own base, shifted to start in degree 0.
 A cyclic quotient A(n) / (relations) is the cokernel of a free map: a
 `FreeMap` from the free module on the relations into A(n), whose image in
 degree d is the ideal there.  Its classes are the monomials off the pivots
-of that ideal's reduced echelon form.  A dual acts by chi(Sq^k), which the
-recurrence chi(Sq^n) = sum Sq^i chi(Sq^(n-i)) computes on the module's own
-Sq^i tables.
+of that ideal's echelon form, the lowest bits of its elements.  A dual acts
+by chi(Sq^k), which the recurrence chi(Sq^n) = sum Sq^i chi(Sq^(n-i))
+computes on the module's own Sq^i tables.
 
 Hom spaces are linear algebra: the degree-preserving maps M -> N are the
 kernel of one GF(2) system in the matrix entries, f Sq(2^e) = Sq(2^e) f.
@@ -40,6 +40,7 @@ is singular, and stops with ValueError after SEARCH_LIMIT tried sums.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from steen.gf2 import Echelon, bits, kernel, rank
@@ -50,6 +51,7 @@ from steen.milnor import (
     Element,
     FreeMap,
     Monomial,
+    basis_count,
     basis_index,
     enumerate_basis,
     generator_matrix,
@@ -59,6 +61,9 @@ from steen.milnor import (
     normalize,
     verschiebung_monomial,
 )
+
+# the most basis monomials validation walks: A's in degrees 1..DEGREE_CAP
+BASIS_BUDGET = sum(basis_count(Algebra(), d) for d in range(1, DEGREE_CAP + 1))
 
 __all__ = [
     "FiniteModule",
@@ -246,14 +251,25 @@ class FiniteModule:
         """Check the module against its definition; empty list means valid.
 
         Over A, a span above DEGREE_CAP is a ValueError: the algebra is only
-        enumerated up to that degree.  A double is checked on its base, and
-        each problem names the module's own operations.
+        enumerated up to that degree.  Over A(n), so is a base whose algebra
+        has more than BASIS_BUDGET monomials in degrees 1 to its span.  A
+        double is checked on its base, and each problem names the module's
+        own operations.
         """
-        if self.algebra.n is None and self.span > DEGREE_CAP:
+        base, span = self._action.algebra, self.span >> self.doubling
+        if base.n is None and self.span > DEGREE_CAP:
             raise ValueError(
                 f"{self.name}: span {self.span} over A exceeds the degree cap"
                 f" DEGREE_CAP = {DEGREE_CAP}"
             )
+        if base.n is not None:
+            # summed lazily and only up to the top class: a wide gap costs nothing
+            counts = (basis_count(base, d) for d in range(1, min(span, base.top_degree) + 1))
+            if any(need > BASIS_BUDGET for need in accumulate(counts)):
+                raise ValueError(
+                    f"{self.name}: span {span} over {base.name} needs more of its basis"
+                    f" than A has up to DEGREE_CAP = {DEGREE_CAP} ({BASIS_BUDGET} monomials)"
+                )
         problems = self._validate_claims() + self._validate_associativity()
         self.validated = not problems
         return problems
@@ -432,10 +448,7 @@ def coaction(M: FiniteModule, i: int) -> list[tuple[Monomial, int]]:
         gap = M.degrees[i] - M.degrees[j]
         if gap < 0:
             continue
-        if gap == 0:
-            if j == i:
-                out.append(((), j))
-            continue
+        # the unit acts as the identity, so gap 0 gives ((), i) alone
         for m in enumerate_basis(M.algebra, gap):
             if (M._act_basis(m, j) >> i) & 1:
                 out.append((m, j))
@@ -481,15 +494,14 @@ def cyclic_quotient(
     full = 0  # consecutive degrees, up to d, where the ideal is everything
     for d in range(algebra.top_degree + 1):
         ech = Echelon()
-        for vec in image.columns(d):
-            ech.add(vec)
+        ech.extend(image.columns(d))
         ideal.append(ech)
         full = full + 1 if ech.rank == len(enumerate_basis(algebra, d)) else 0
         if full == 1 << algebra.n:
             break
 
-    # the classes are the non-pivot monomials; the reduced echelon form
-    # depends only on the ideal, so they do not depend on the order above
+    # the classes are the non-pivot monomials; the pivots and residuals
+    # depend only on the ideal, so they do not depend on the order above
     reps: list[tuple[int, int]] = []  # (degree, basis position)
     for d, ech in enumerate(ideal):
         pivots = set(ech.pivots())

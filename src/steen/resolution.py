@@ -18,8 +18,8 @@ last in block order and are independent of the columns before them.  The
 candidates at (s, t) are the cycles of stage s-1, and at stage 0 the unit
 vectors of the module in degree t; each candidate outside the span so far
 becomes a generator.  A stage-0 generator's value is its unit vector, and a
-later one's is its residual.  The rows stay fully reduced, so reducing a
-vector needs only the rows whose pivots it has set.
+later one's is its residual.  The echelon never back-substitutes; its
+residuals, combos and pivots depend only on the row space.
 
 Each column is the same element in the same basis as a direct product
 Sq(x) * d_s(g_a) would give, so the kernel combinations, the chosen
@@ -175,12 +175,7 @@ def minimal_resolution(
             if s == s_max and not combos:
                 continue
             span = Echelon()
-            kept: list[int] = []
-            for i, vec in enumerate(d.columns(t)):
-                residual, combo = span.add(vec, 1 << i)
-                if not residual:
-                    kept.append(combo)
-            following[t] = kept
+            following[t] = span.extend(d.columns(t))
             if len(combos) == span.rank:
                 # the image lies in the span of the combos (a kernel basis,
                 # or M_t at stage 0), so it is all of it: no new generators

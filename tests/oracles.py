@@ -4,9 +4,9 @@ Everything here recomputes structure by a different route than the package:
 products through the dual Hopf-algebra pairing, admissible rewriting through
 the Adem relations, the antipode through the conjugate dual generators, and
 Ext groups through the bar resolution.  Plain dict/set polynomial arithmetic
-throughout; no package internals beyond basic GF(2) rank.  The exceptions are
-thin lifts of package primitives that only the tests need (`solve`,
-`echelon_contains` and `echelon_rows` over `Echelon`, `verschiebung` over
+throughout, and every elimination here runs on `RowWalkingEchelon`, so no
+oracle shares the package's `Echelon`.  The exceptions are thin lifts of
+package primitives that only the tests need (`verschiebung` over
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
@@ -17,8 +17,9 @@ products instead of the package's Sq(2^e) recurrence;
 over its own algebra instead of its base; `reference_problems`, which
 lists validate's problems from those own blocks instead of the base's;
 `reference_isomorphism`, which walks every invertible matrix in each degree
-instead of searching the Hom basis; `RowWalkingEchelon`, whose reduce walks
-every stored row instead of the pivots set in the vector;
+instead of searching the Hom basis; `RowWalkingEchelon` (with
+`reference_kernel` and `reference_rank` over it), which keeps its rows fully
+reduced and walks every stored row instead of clearing the lowest pivot set;
 `all_pairs_associativity`, which checks (ab)x = a(bx) for every pair of basis
 monomials instead of only a = Sq(2^e); `reference_cyclic_quotient`, which
 spans the ideal by the products Sq(b) * rel instead of the Sq(2^e)
@@ -42,7 +43,7 @@ from math import comb
 from weakref import WeakKeyDictionary
 
 from steen.dual import zeta_in_xi
-from steen.gf2 import Echelon, bits, kernel, rank
+from steen.gf2 import bits
 from steen.milnor import (
     Algebra,
     Element,
@@ -313,7 +314,7 @@ def _bar_rank(s: int, t: int) -> int:
                 image = tup[:i] + (prod,) + tup[i + 2:]
                 vec ^= 1 << target[image]
         rows.append(vec)
-    return rank(rows)
+    return reference_rank(rows)
 
 
 def oracle_ext_a1(s: int, t: int) -> int:
@@ -383,15 +384,6 @@ def reference_basis_count(algebra, d: int) -> int:
 # -- lifts of package primitives ------------------------------------------------
 
 
-def solve(rows, target: int) -> int | None:
-    """A combo c with XOR of rows[i] over bits i of c equal to target, or None."""
-    ech = Echelon()
-    for i, row in enumerate(rows):
-        ech.add(row, 1 << i)
-    residual, combo = ech.reduce(target)
-    return combo if residual == 0 else None
-
-
 def verschiebung(k: int, a: Element) -> Element:
     """The k-fold Verschiebung on elements, monomial by monomial."""
     acc: set = set()
@@ -426,20 +418,14 @@ def save(M, path) -> None:
     path.write_text(text)
 
 
-def echelon_contains(ech: Echelon, vec: int) -> bool:
-    return ech.reduce(vec)[0] == 0
-
-
-def echelon_rows(ech: Echelon) -> list[int]:
-    """The reduced rows, sorted by pivot column."""
-    return [row for _, (row, _) in sorted(ech._rows.items())]
-
-
 class RowWalkingEchelon:
-    """Reference for `Echelon`: reduce walks every stored row in turn.
+    """Reference for `Echelon`: the fully reduced form, walked row by row.
 
-    The rows are kept reduced by the same back-substitution, so a row acts
-    exactly when its pivot is set in the vector at its turn.
+    Each add back-substitutes the new row into every stored row, so no row
+    holds another row's pivot, and reduce walks every stored row in turn: a
+    row acts exactly when its pivot is set in the vector at its turn.  The
+    package's `Echelon` never back-substitutes; both report the same
+    residuals, combos and pivots, which depend only on the row space.
     """
 
     def __init__(self) -> None:
@@ -466,19 +452,29 @@ class RowWalkingEchelon:
             self.rows[pivot] = (vec, tag)
         return vec, tag
 
+    def extend(self, vecs) -> list[int]:
+        out = []
+        for i, vec in enumerate(vecs):
+            residual, combo = self.add(vec, 1 << i)
+            if residual == 0:
+                out.append(combo)
+        return out
+
     def pivots(self) -> list[int]:
         return [p.bit_length() - 1 for p in sorted(self.rows)]
 
 
 def reference_kernel(rows) -> list[int]:
     """`kernel` over the row-walking echelon."""
+    return RowWalkingEchelon().extend(rows)
+
+
+def reference_rank(rows) -> int:
+    """`rank` over the row-walking echelon, without tags."""
     ech = RowWalkingEchelon()
-    out = []
-    for i, row in enumerate(rows):
-        residual, combo = ech.add(row, 1 << i)
-        if residual == 0:
-            out.append(combo)
-    return out
+    for row in rows:
+        ech.add(row)
+    return ech.rank
 
 
 FULL_A = full_a()
@@ -541,7 +537,7 @@ def apply(f: ModuleMap, vec: int) -> int:
 def is_isomorphism(f: ModuleMap) -> bool:
     if f.source.dims() != f.target.dims():
         return False
-    ech = Echelon()
+    ech = RowWalkingEchelon()
     for row in f.rows:
         if ech.add(row)[0] == 0:
             return False
@@ -562,7 +558,7 @@ def _invertible_matrices(n: int) -> tuple[tuple[int, ...], ...]:
         return ((),)
     out = []
     for rows in iproduct(range(1, 1 << n), repeat=n):
-        ech = Echelon()
+        ech = RowWalkingEchelon()
         ok = True
         for r in rows:
             if ech.add(r)[0] == 0:
@@ -802,7 +798,7 @@ def reference_cyclic_quotient(algebra, relations, name):
     for d in range(top + 1):
         basis = enumerate_basis(algebra, d)
         index[d] = {m: c for c, m in enumerate(basis)}
-        ech = Echelon()
+        ech = RowWalkingEchelon()
         for rel in relations:
             if rel.degree > d:
                 continue
@@ -894,7 +890,8 @@ def reference_resolution(algebra, M, s_max, t_max):
     """Minimal resolution with every column an explicit product Sq(m) * d(g).
 
     Same generator choices as the package's resolver: columns come in the
-    same block order and go through the same kernel/echelon steps.
+    same block order and go through the same kernel and candidate steps, on
+    the row-walking echelon.
     """
     if algebra.n is not None and M.algebra.n is None:
         M = restrict(M, algebra)
@@ -902,7 +899,7 @@ def reference_resolution(algebra, M, s_max, t_max):
 
     degrees0, values0 = [], []
     for t in sorted({d for d in M.degrees if d <= t_max}):
-        image = Echelon()
+        image = RowWalkingEchelon()
         for lower in sorted({d for d in M.degrees if d < t}):
             for m in enumerate_basis(algebra, t - lower):
                 for i in range(M.dim):
@@ -945,11 +942,11 @@ def reference_resolution(algebra, M, s_max, t_max):
                             for mm in _mono_times(m, e):
                                 vec ^= 1 << pos[(j2, mm)]
                         vecs.append(vec)
-            combos = kernel(vecs)
+            combos = reference_kernel(vecs)
             if not combos:
                 continue
             colpos = {c: i for i, c in enumerate(cols)}
-            span = Echelon()
+            span = RowWalkingEchelon()
             for a, ta in enumerate(degrees_s):
                 for x in enumerate_basis(algebra, t - ta):
                     vec = 0
@@ -989,7 +986,7 @@ def differential_rank(R, s, t):
     if s == 0:
         for j, m in free_basis(R, 0, t):
             rows.append(R.module.act(sq(*m), R.values[j]))
-        return rank(rows)
+        return reference_rank(rows)
     pos = {c: i for i, c in enumerate(free_basis(R, s - 1, t))}
     for a, m in free_basis(R, s, t):
         vec = 0
@@ -997,4 +994,4 @@ def differential_rank(R, s, t):
             for mm in milnor_product(sq(*m), e).monomials:
                 vec ^= 1 << pos[(j, mm)]
         rows.append(vec)
-    return rank(rows)
+    return reference_rank(rows)

@@ -73,6 +73,29 @@ def test_a_module_over_a_wider_than_the_degree_cap_is_a_usage_error(tmp_path, ca
     assert captured.err == "steen: m: span 100 over A exceeds the degree cap DEGREE_CAP = 64\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "show"])
+def test_a_base_that_needs_more_basis_than_a_is_a_usage_error(tmp_path, capsys, command):
+    # over A(12) the base reaches degree 101, past the 5,241 monomials A has
+    # in degrees 1..DEGREE_CAP; A(12)'s top class does not bound it in time
+    path = tmp_path / "m.mod"
+    path.write_text("module m over A(12)\ngen a 0\ngen b 101\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "steen: m: span 101 over A(12) needs more of its basis than A has up to"
+        " DEGREE_CAP = 64 (5241 monomials)\n"
+    )
+
+
+def test_a_wide_module_over_a3_is_never_refused(tmp_path, capsys):
+    # A(3) has 1,023 monomials in positive degrees, fewer than the budget
+    path = tmp_path / "m.mod"
+    path.write_text("module m over A(3)\ngen a 0\ngen b 71\n")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "m: ok\n"
+
+
 def test_validate_reports_problems(tmp_path, capsys):
     path = tmp_path / "broken.mod"
     path.write_text(BROKEN_MODULE)

@@ -7,13 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (
-    RowWalkingEchelon,
-    echelon_contains,
-    echelon_rows,
-    reference_kernel,
-    solve,
-)
+from oracles import RowWalkingEchelon, reference_kernel, reference_rank
 from steen.gf2 import Echelon, bits, kernel, rank
 
 
@@ -22,6 +16,14 @@ def xor_combo(rows, combo):
     for i in bits(combo):
         acc ^= rows[i]
     return acc
+
+
+def solve(rows, target):
+    """A combo c with XOR of rows[i] over bits i of c equal to target, or None."""
+    ech = Echelon()
+    ech.extend(rows)
+    residual, combo = ech.reduce(target)
+    return combo if residual == 0 else None
 
 
 def test_bits():
@@ -41,24 +43,30 @@ def test_echelon_reduce_membership():
     ech = Echelon()
     ech.add(0b110)
     ech.add(0b011)
-    assert echelon_contains(ech, 0b101)
-    assert not echelon_contains(ech, 0b100)
+    assert ech.reduce(0b101)[0] == 0
+    assert ech.reduce(0b100)[0] != 0
     residual, _ = ech.reduce(0b110 ^ 0b011)
     assert residual == 0
 
 
-def test_echelon_rows_are_reduced():
+def assert_forward_echelon(ech):
+    """Distinct pivots, each its row's lowest bit, none set in a later row."""
+    stored = list(ech._rows.items())  # in the order the rows were stored
+    pivots = [pivot for pivot, _ in stored]
+    assert len(set(pivots)) == len(stored)
+    for n, (pivot, (row, _)) in enumerate(stored):
+        assert row & -row == pivot
+        assert not any(row & earlier for earlier in pivots[:n])
+
+
+def test_echelon_rows_keep_the_forward_invariant():
     ech = Echelon()
     for row in [0b1110, 0b0111, 0b1001, 0b1111]:
         ech.add(row)
-    reduced = echelon_rows(ech)
-    pivots = [row & -row for row in reduced]
-    assert len(set(pivots)) == len(reduced)
-    # reduced form: no row contains another row's pivot
-    for i, row in enumerate(reduced):
-        for j, pivot in enumerate(pivots):
-            if i != j:
-                assert row & pivot == 0
+    assert_forward_echelon(ech)
+    assert ech.pivots() == [0, 1, 3]
+    # older rows keep a later pivot: nothing back-substitutes 0b1000
+    assert ech._rows[0b10][0] == 0b1110 and ech._rows[0b1][0] == 0b1001
 
 
 def test_kernel_combos_annihilate():
@@ -113,8 +121,12 @@ def tagged_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tagged_rows(), st.integers(0, (1 << 48) - 1))
-def test_echelon_matches_the_row_walking_reference(entries, probe):
+@given(
+    tagged_rows(),
+    st.integers(0, (1 << 48) - 1),
+    st.lists(st.integers(0, (1 << 48) - 1), max_size=8),
+)
+def test_echelon_matches_the_row_walking_reference(entries, probe, more):
     ech, ref = Echelon(), RowWalkingEchelon()
     for vec, tag in entries:
         assert ech.reduce(vec, tag) == ref.reduce(vec, tag)
@@ -123,4 +135,11 @@ def test_echelon_matches_the_row_walking_reference(entries, probe):
         assert ech.pivots() == ref.pivots()
     assert ech.reduce(probe, 1) == ref.reduce(probe, 1)
     vecs = [vec for vec, _ in entries]
+    # extend on the non-empty echelon: the old rows' tags enter the combos
+    batch = more + vecs[::-1]
+    assert ech.extend(batch) == ref.extend(batch)
+    assert ech.rank == ref.rank
+    assert ech.pivots() == ref.pivots()
+    assert_forward_echelon(ech)
     assert kernel(vecs) == reference_kernel(vecs)
+    assert rank(vecs) == reference_rank(vecs)

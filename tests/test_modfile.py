@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import save, serialize_json
 from steen.catalogue import get_module
+from steen.cli import main
 from steen.milnor import an
 from steen.modfile import load, parse, parse_json, serialize
 
@@ -153,3 +162,122 @@ def test_polymodule_parse_errors():
     for text, fragment in cases:
         with pytest.raises(ValueError, match=fragment):
             parse(text)
+
+
+# -- fuzzing the readers: every input is read, refused in one line, or invalid
+
+_ALGEBRAS = ("A", "A(0)", "A(1)", "A(2)", "A(3)", "A(12)")
+_WORDS = (
+    "module", "over", "gen", "sq", "=", "+", "#", "polymodule", "polygen", "rel", "real",
+    "complex", "w^2", "w^x", "x0", "x1", "zz", "A", "A(1)", "A(x)", "A()", "B", "-1", "0",
+    "1", "2", "4", "x",
+)
+
+
+def _skeleton(rnd):
+    """An algebra, gens x0, x1, ... and Sq^k lines, mostly of the right degree.
+
+    Many of these are modules; which ones validate is left to chance.  A
+    line between two gens a degree apart gets that k.  About one in four of
+    the other lines, such as those naming an id no gen has, is kept with a
+    random k.  Degrees in -8..8 keep every span at most 16, so no file can
+    start a long walk, and no edit below writes a number outside them.
+    """
+    degrees = [rnd.randint(-8, 8) for _ in range(rnd.randint(0, 5))]
+    sq: dict[str, dict[str, list[str]]] = {}
+    for _ in range(rnd.randint(0, 6)):
+        i, j, k = rnd.randint(0, 5), rnd.randint(0, 5), rnd.randint(1, 16)
+        if max(i, j) < len(degrees) and degrees[j] > degrees[i]:
+            k = degrees[j] - degrees[i]
+        elif rnd.random() < 0.75:
+            continue
+        targets = sq.setdefault(str(k), {}).setdefault(f"x{i}", [])
+        if f"x{j}" not in targets:
+            targets.append(f"x{j}")
+    gens = [[f"x{i}", d] for i, d in enumerate(degrees)]
+    return rnd.choice(_ALGEBRAS), gens, sq
+
+
+def _text_file(rnd):
+    algebra, gens, sq = _skeleton(rnd)
+    lines = [f"module m over {algebra}"] + [f"gen {g} {d}" for g, d in gens]
+    for k, row in sq.items():
+        lines += [f"sq {k} {src} = {' + '.join(ts)}" for src, ts in row.items()]
+    # up to three edits that may break the file anywhere, header included:
+    # a token replaced, dropped or inserted, or a line spliced in
+    for _ in range(rnd.choice((0, 0, 1, 1, 2, 3))):
+        n = rnd.randint(0, len(lines))
+        tokens = lines[n].split() if n < len(lines) else []
+        edit = rnd.choice(("replace", "drop", "insert", "line"))
+        if not tokens or edit == "line":
+            noise = rnd.choices(_WORDS, k=rnd.randint(0, 6))
+            lines.insert(n, " ".join(noise) or f"polygen w {rnd.randint(-8, 8)} real")
+            continue
+        p = rnd.randrange(len(tokens))
+        if edit == "drop":
+            del tokens[p]
+        else:
+            tokens[p : p + (edit == "replace")] = [rnd.choice(_WORDS)]
+        lines[n] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _any_json(rnd, depth=2):
+    kind = rnd.randrange(7 if depth else 5)
+    if kind == 5:
+        return [_any_json(rnd, depth - 1) for _ in range(rnd.randint(0, 3))]
+    if kind == 6:
+        return {rnd.choice(_WORDS): _any_json(rnd, depth - 1) for _ in range(rnd.randint(0, 3))}
+    return (None, rnd.random() < 0.5, rnd.randint(-8, 8), rnd.choice(_WORDS), "")[kind]
+
+
+def _edited(rnd, value):
+    """value with one entry, at any depth, dropped or replaced by any JSON."""
+    value = dict(value) if isinstance(value, dict) else list(value)
+    key = rnd.choice(sorted(value) if isinstance(value, dict) else range(len(value)))
+    inner = value[key]
+    edit = rnd.choice(("drop", "deeper", "replace"))
+    if edit == "drop":
+        del value[key]
+    elif edit == "deeper" and isinstance(inner, (dict, list)) and inner:
+        value[key] = _edited(rnd, inner)
+    else:
+        value[key] = _any_json(rnd)
+    return value
+
+
+def _json_file(rnd):
+    algebra, gens, sq = _skeleton(rnd)
+    payload = {"module": "m", "algebra": algebra, "gens": gens, "sq": sq}
+    for _ in range(rnd.randint(0, 3)):
+        if payload:
+            payload = _edited(rnd, payload)
+    text = json.dumps(payload)
+    # and maybe cut the text short
+    return text[: rnd.randint(0, len(text))] if rnd.random() < 0.3 else text
+
+
+def _read_or_refuse_in_one_line(read, text):
+    try:
+        read(text)
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=True), st.booleans())
+def test_readers_and_commands_refuse_bad_files_in_one_line(rnd, as_json):
+    name, text = ("m.json", _json_file(rnd)) if as_json else ("m.mod", _text_file(rnd))
+    _read_or_refuse_in_one_line(parse_json if as_json else parse, text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        for command in ("validate", "show"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, str(path)])
+            if code == 2:
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert err.getvalue().startswith("steen: ")
+            else:
+                assert code in (0, 1) and err.getvalue() == ""

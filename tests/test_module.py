@@ -16,6 +16,7 @@ from oracles import (
     reference_dualize,
     reference_isomorphism,
     reference_problems,
+    reference_resolution,
     reference_tables,
 )
 from steen import milnor, module
@@ -44,6 +45,7 @@ from steen.module import (
     tensor,
     trivial_module,
 )
+from steen.resolution import minimal_resolution
 
 A1 = an(1)
 A2 = an(2)
@@ -212,6 +214,24 @@ def test_random_doubles_duals_and_tensors_agree_across_routes(pair):
     # doubling the tensor against tensoring the doubles
     if M.dim * N.dim <= 100:
         assert find_isomorphism(double(tensor(M, N), 1), tensor(M2, double(N, 1))) is not None
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(presentation_pairs())
+def test_random_duals_homs_and_resolutions_agree_across_routes(pair):
+    (algebra, m_relations), (_, n_relations) = pair
+    M = cyclic_quotient(algebra, m_relations, "M")
+    N = cyclic_quotient(algebra, n_relations, "N")
+    # dualizing the tensor against tensoring the duals
+    if M.dim * N.dim <= 100:
+        assert find_isomorphism(dualize(tensor(M, N)), tensor(dualize(M), dualize(N))) is not None
+    # Hom(M, N) against Hom(D(N), D(M)): f -> D(f) is a bijection
+    assert len(hom_basis(M, N)) == len(hom_basis(dualize(N), dualize(M)))
+    # the Sq(2^e) recurrence resolver against general Milnor products
+    t_max = M.top + 8
+    R = minimal_resolution(algebra, M, 3, t_max)
+    ref = reference_resolution(algebra, M, 3, t_max)
+    assert (R.degrees, R.values, R.diffs) == (ref.degrees, ref.values, ref.diffs)
 
 
 def test_dualize_matches_the_antipode_route():
