@@ -15,18 +15,19 @@ from typing import Sequence
 
 from steen.catalogue import MODULE_NAMES, get_module
 from steen.config import T_MAX_DEFAULT, Config, config_problems, from_env
-from steen.milnor import Algebra, full_a
+from steen.milnor import full_a
 from steen.modfile import load, parse_algebra, serialize
 from steen.module import FiniteModule, double, dualize, shift, tensor
 from steen.obstruction import format_report, obstruction_report, report_lines
 from steen.resolution import (
+    Resolution,
     T_MAX_LIMIT,
     dump_resolution,
     emit_chart,
     ext_chart,
     minimal_resolution,
 )
-from steen.unstable import PolyModule, bso3, bsu3, compare_range, truncate_quotient
+from steen.unstable import bso3, bsu3, compare_range, truncate_quotient
 from steen.verify import run_all
 
 __all__ = ["main"]
@@ -36,32 +37,24 @@ class UsageError(Exception):
     """Bad arguments or unusable inputs; maps to exit code 2."""
 
 
-def _load_module(token: str):
+def _load_module(token: str) -> FiniteModule:
     """A catalogue name or a module-definition file path; a file must validate."""
     if token in MODULE_NAMES:
         return get_module(token)
-    path = Path(token)
-    if token and path.exists():  # Path('') is the working directory
-        M = load(path)
-        problems = M.validate() if isinstance(M, FiniteModule) else []
+    if token and Path(token).exists():  # Path('') is the working directory
+        M = load(token)
+        problems = M.validate()
         if problems:
             raise ValueError(problems[0])
         return M
     raise UsageError(f"unknown module {token!r}: not a catalogue name or a file")
 
 
-def _finite(token: str) -> FiniteModule:
-    M = _load_module(token)
-    if isinstance(M, PolyModule):
-        raise UsageError(
-            f"{token!r} is a polynomial module description; "
-            "build a finite quotient with the unstable command first"
-        )
-    return M
-
-
-def _resolution_algebra(spec: str | None, M: FiniteModule) -> Algebra:
-    return M.algebra if spec is None else parse_algebra(spec, "--algebra")
+def _resolution(args: argparse.Namespace, cfg: Config) -> Resolution:
+    """The minimal resolution of the module argument, over --algebra or its own."""
+    M = _load_module(args.module)
+    algebra = M.algebra if args.algebra is None else parse_algebra(args.algebra, "--algebra")
+    return minimal_resolution(algebra, M, cfg.s_max, cfg.t_max)
 
 
 _TMAX_HELP = f"internal-degree bound (default {T_MAX_DEFAULT}, at most {T_MAX_LIMIT})"
@@ -146,41 +139,23 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_show(args: argparse.Namespace) -> int:
-    print(serialize(_load_module(args.module)), end="")
-    return 0
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.file)
     if not args.file or not path.exists():
         raise UsageError(f"no such file: {args.file}")
     M = load(path)
-    if isinstance(M, PolyModule):
-        print(f"{M.name}: ok")
-        return 0
     problems = M.validate()
-    for problem in problems:
-        print(problem)
-    if problems:
-        return 1
-    print(f"{M.name}: ok")
-    return 0
+    print("\n".join(problems) if problems else f"{M.name}: ok")
+    return 1 if problems else 0
 
 
 def _cmd_resolve(args: argparse.Namespace, cfg: Config) -> int:
-    M = _finite(args.module)
-    algebra = _resolution_algebra(args.algebra, M)
-    R = minimal_resolution(algebra, M, cfg.s_max, cfg.t_max)
-    print(dump_resolution(R), end="")
+    print(dump_resolution(_resolution(args, cfg)), end="")
     return 0
 
 
 def _cmd_chart(args: argparse.Namespace, cfg: Config) -> int:
-    M = _finite(args.module)
-    algebra = _resolution_algebra(args.algebra, M)
-    R = minimal_resolution(algebra, M, cfg.s_max, cfg.t_max)
-    data = emit_chart(ext_chart(R), cfg.format)
+    data = emit_chart(ext_chart(_resolution(args, cfg)), cfg.format)
     if args.out:
         target = Path(args.out)
         if not target.is_absolute():
@@ -236,19 +211,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "list":
             return _cmd_list()
         if args.command == "show":
-            return _cmd_show(args)
+            print(serialize(_load_module(args.module)), end="")
+            return 0
         if args.command == "validate":
             return _cmd_validate(args)
         if args.command == "dual":
-            print(serialize(dualize(_finite(args.module))), end="")
+            print(serialize(dualize(_load_module(args.module))), end="")
             return 0
         if args.command == "double":
             if args.k < 0:
                 raise UsageError("k must be nonnegative")
-            print(serialize(double(_finite(args.module), args.k)), end="")
+            print(serialize(double(_load_module(args.module), args.k)), end="")
             return 0
         if args.command == "tensor":
-            print(serialize(tensor(_finite(args.left), _finite(args.right))), end="")
+            print(serialize(tensor(_load_module(args.left), _load_module(args.right))), end="")
             return 0
         if args.command == "resolve":
             return _cmd_resolve(args, cfg)

@@ -355,25 +355,29 @@ class Algebra(NamedTuple):
         """Degree of the top class of A(n); the whole algebra has none."""
         if self.n is None:
             raise ValueError("A has no top class")
-        return sum(
-            ((1 << (self.n + 2 - i)) - 1) * ((1 << i) - 1)
-            for i in range(1, self.n + 2)
-        )
+        # sum over i of (2^(n+2-i) - 1)(2^i - 1), in closed form
+        return ((self.n - 1) << (self.n + 2)) + self.n + 5
 
     def contains(self, m: Monomial) -> bool:
+        # r_i < 2^(n+2-i), compared by bit length: n may be too large to shift by
         if self.n is None:
             return True
         if len(m) > self.n + 1:
             return False
-        return all(r < (1 << (self.n + 2 - i)) for i, r in enumerate(m, start=1))
+        return all(r.bit_length() <= self.n + 2 - i for i, r in enumerate(m, start=1))
+
+    def sq_bound(self, d: int) -> int:
+        """The largest k <= d with Sq^k in the algebra: min(d, 2^(n+1) - 1)."""
+        if self.n is None or d.bit_length() <= self.n + 1:
+            return d
+        return (1 << (self.n + 1)) - 1
 
     def contains_element(self, a: Element) -> bool:
         return all(self.contains(m) for m in a.monomials)
 
     def generator_exponents(self, d: int) -> list[int]:
         """Exponents e of the generators Sq(2^e) with 2^e <= d, ascending."""
-        top = d if self.n is None else min(d, (1 << (self.n + 1)) - 1)
-        return [e for e in range(top.bit_length()) if (1 << e) <= top]
+        return list(range(self.sq_bound(d).bit_length()))
 
     def __str__(self) -> str:
         return self.name
@@ -400,7 +404,9 @@ def _basis(n: int | None, d: int) -> tuple[Monomial, ...]:
 
     def bound(slot: int) -> int:
         # the profile of A(n) allows r_i < 2^(n+2-i); A allows any r_i <= d
-        return d if n is None else (1 << (n + 2 - slot)) - 1
+        if n is None or d.bit_length() <= n + 2 - slot:
+            return d
+        return (1 << (n + 2 - slot)) - 1
 
     out: list[Monomial] = []
     cur = [0] * slots
@@ -442,7 +448,7 @@ def _poincare(n: int | None, top: int) -> tuple[int, ...]:
     slots = top.bit_length() if n is None else min(top.bit_length(), n + 1)
     for slot in range(1, slots + 1):
         w = (1 << slot) - 1
-        if n is not None:
+        if n is not None and top.bit_length() > n + 2 - slot:
             # r_slot < 2^(n+2-slot): multiply by 1 - t^(w 2^(n+2-slot))
             cut = w << (n + 2 - slot)
             for x in range(top, cut - 1, -1):

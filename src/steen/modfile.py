@@ -12,15 +12,13 @@ for composite k are optional claims: absent ones are derived from the
 generators, present ones are checked by validate.  Serialization writes gens
 in basis order and every nonzero sq line, composites included, with k
 ascending, sources in basis order, so files round-trip byte for byte.
-Polynomial modules for the unstable layer use
-
-    polymodule <name>
-    polygen <name> <degree> real | complex
-    rel <factor> [<factor>]*       (factor: name or name^e)
 
 JSON is an input format only: an object with the keys module, algebra,
 gens (a list of [id, degree] pairs) and sq (k -> id -> list of ids), read
 by `parse_json` and by `load` for a .json path.  Every command writes text.
+Both readers yield located gens (where, id, degree) and sq entries (where,
+k, id, targets) for one builder, and every refusal is a ParseError that
+starts with its line or JSON key path (`json: sq 1 x0: unknown id b`).
 """
 
 from __future__ import annotations
@@ -28,233 +26,199 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from steen.gf2 import bits
 from steen.milnor import Algebra, an, full_a
-from steen.module import FiniteModule
+from steen.module import FiniteModule, is_id
 
-__all__ = [
-    "load",
-    "parse",
-    "parse_algebra",
-    "parse_json",
-    "serialize",
-]
+__all__ = ["ParseError", "load", "parse", "parse_algebra", "parse_json", "serialize"]
 
 _ALGEBRA_RE = re.compile(r"A(\((\d+)\))?")
+
+
+class ParseError(ValueError):
+    """A refused module file: `<where>: <message>`, where is a line or JSON key path."""
+
+    def __init__(self, where: str, message: str) -> None:
+        super().__init__(f"{where}: {message}")
+        self.where = where
+
+
+def _number(digits: str) -> int | None:
+    """int(digits), or None for more digits than int() converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
 
 
 def parse_algebra(token: str, where: str) -> Algebra:
     """`A` (the whole algebra) or `A(n)`."""
     match = _ALGEBRA_RE.fullmatch(token)
-    if not match:
-        raise ValueError(f"{where}: bad algebra {token!r}; use A or A(n)")
-    return full_a() if match.group(2) is None else an(int(match.group(2)))
+    if match and match.group(2) is None:
+        return full_a()
+    n = _number(match.group(2)) if match else None
+    if n is None:
+        raise ParseError(where, f"bad algebra {token!r}; use A or A(n)")
+    return an(n)
 
 
-def _integer(token: str, lineno: int, what: str, least: int | None = None) -> int:
-    if re.fullmatch(r"-?\d+", token) and (least is None or int(token) >= least):
-        return int(token)
-    raise ValueError(f"line {lineno}: bad {what} {token!r}")
+def _integer(token: str, where: str, what: str, least: int | None = None) -> int:
+    value = _number(token) if re.fullmatch(r"-?\d+", token) else None
+    if value is None or (least is not None and value < least):
+        raise ParseError(where, f"bad {what} {token!r}")
+    return value
 
 
-def serialize(M) -> str:
-    from steen.unstable import PolyModule
-
-    if isinstance(M, PolyModule):
-        lines = [f"polymodule {M.name}"]
-        for g, d, flavor in M.generators:
-            lines.append(f"polygen {g} {d} {flavor}")
-        for rel in M.relations:
-            factors = " ".join(
-                g if e == 1 else f"{g}^{e}"
-                for (g, _, _), e in zip(M.generators, rel)
-                if e
-            )
-            lines.append(f"rel {factors}")
-        return "\n".join(lines) + "\n"
+def serialize(M: FiniteModule) -> str:
     lines = [f"module {M.name} over {M.algebra.name}"]
-    for g, d in zip(M.gens, M.degrees):
-        lines.append(f"gen {g} {d}")
-    for k in sorted(M.tables):
-        table = M.tables[k]
-        for i in range(M.dim):
-            if table[i]:
-                targets = " + ".join(M.gens[j] for j in bits(table[i]))
-                lines.append(f"sq {k} {M.gens[i]} = {targets}")
+    lines += [f"gen {g} {d}" for g, d in zip(M.gens, M.degrees)]
+    for k, table in sorted(M.tables.items()):
+        lines += [f"sq {k} {g} = {' + '.join(M.ids_of(r))}" for g, r in zip(M.gens, table) if r]
     return "\n".join(lines) + "\n"
 
 
-def parse(text: str):
-    """Parse the text format; returns a FiniteModule or a PolyModule."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append((lineno, line.split()))
-    if not lines:
-        raise ValueError("empty module file")
-    if lines[0][1][0] == "polymodule":
-        return _parse_poly(lines)
-    return _parse_finite(lines)
-
-
-def _parse_finite(lines: list[tuple[int, list[str]]]) -> FiniteModule:
-    lineno, head = lines[0]
-    if len(head) != 4 or head[0] != "module" or head[2] != "over":
-        raise ValueError(f"line {lineno}: expected 'module <name> over <algebra>'")
-    name = head[1]
-    algebra = parse_algebra(head[3], f"line {lineno}")
-    gens: list[str] = []
-    degrees: list[int] = []
+def _build(name: str, algebra: Algebra, gens: list, sqs: list) -> FiniteModule:
+    """The module of located gens (where, id, degree) and sq entries (where,
+    k, id, targets), each refused where it was written if it is bad."""
     index: dict[str, int] = {}
-    actions: list[tuple[int, int, str, list[str]]] = []
-    for lineno, tokens in lines[1:]:
-        if tokens[0] == "gen":
-            if len(tokens) != 3:
-                raise ValueError(f"line {lineno}: expected 'gen <id> <degree>'")
-            if tokens[1] in index:
-                raise ValueError(f"line {lineno}: duplicate id {tokens[1]}")
-            index[tokens[1]] = len(gens)
-            gens.append(tokens[1])
-            degrees.append(_integer(tokens[2], lineno, "degree"))
-        elif tokens[0] == "sq":
-            if len(tokens) < 5 or tokens[3] != "=":
-                raise ValueError(f"line {lineno}: expected 'sq <k> <id> = <targets>'")
-            targets = tokens[4::2]
-            if tokens[5::2] != ["+"] * (len(targets) - 1):
-                raise ValueError(f"line {lineno}: targets must be joined with '+'")
-            k = _integer(tokens[1], lineno, "operation", least=1)
-            actions.append((lineno, k, tokens[2], targets))
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {tokens[0]!r}")
-    tables: dict[int, list[int]] = {}
-    for lineno, k, src, targets in actions:
+    degrees: list[int] = []
+    for where, g, d in gens:
+        if not is_id(g):
+            raise ParseError(where, f"bad id {g!r}")
+        if g in index:
+            raise ParseError(where, f"duplicate id {g}")
+        index[g] = len(degrees)
+        degrees.append(d)
+    rows: dict[tuple[int, int], int] = {}
+    for where, k, src, targets in sqs:
         if src not in index:
-            raise ValueError(f"line {lineno}: unknown id {src}")
+            raise ParseError(where, f"unknown id {src}")
         row = 0
         for t in targets:
             if t not in index:
-                raise ValueError(f"line {lineno}: unknown id {t}")
+                raise ParseError(where, f"unknown id {t}")
             if degrees[index[t]] != degrees[index[src]] + k:
-                raise ValueError(f"line {lineno}: Sq^{k} {src} hits {t} of wrong degree")
-            row ^= 1 << index[t]
-        table = tables.setdefault(k, [0] * len(gens))
-        if table[index[src]]:
-            raise ValueError(f"line {lineno}: repeated sq {k} {src}")
-        table[index[src]] = row
-    return FiniteModule(
-        name,
-        algebra,
-        tuple(gens),
-        tuple(degrees),
-        {k: tuple(rows) for k, rows in tables.items()},
-    )
+                raise ParseError(where, f"Sq^{k} {src} hits {t} of wrong degree")
+            if row >> index[t] & 1:
+                raise ParseError(where, f"repeated target {t}")
+            row |= 1 << index[t]
+        if (k, index[src]) in rows:
+            raise ParseError(where, f"repeated sq {k} {src}")
+        if not algebra.contains((k,)):
+            raise ParseError(where, f"Sq^{k} is not in {algebra.name}")
+        rows[k, index[src]] = row
+    ks = {k for k, _ in rows}
+    tables = {k: tuple(rows.get((k, i), 0) for i in range(len(degrees))) for k in ks}
+    return FiniteModule(name, algebra, tuple(index), tuple(degrees), tables)
 
 
-def _parse_poly(lines: list[tuple[int, list[str]]]):
-    from steen.unstable import PolyModule
-
-    lineno, head = lines[0]
-    if len(head) != 2:
-        raise ValueError(f"line {lineno}: expected 'polymodule <name>'")
-    name = head[1]
-    gens: list[tuple[str, int, str]] = []
-    known: set[str] = set()
-    relations: list[tuple[int, ...]] = []
-    factor_re = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(\^(\d+))?$")
-    for lineno, tokens in lines[1:]:
-        if tokens[0] == "polygen":
-            if len(tokens) != 4 or tokens[3] not in ("real", "complex"):
-                raise ValueError(
-                    f"line {lineno}: expected 'polygen <name> <degree> real|complex'"
-                )
-            gens.append((tokens[1], _integer(tokens[2], lineno, "degree"), tokens[3]))
-            known.add(tokens[1])
-        elif tokens[0] == "rel":
-            if len(tokens) < 2:
-                raise ValueError(f"line {lineno}: expected 'rel <factor>...'")
-            exponents = [0] * len(gens)
-            for factor in tokens[1:]:
-                match = factor_re.match(factor)
-                if not match or match.group(1) not in known:
-                    raise ValueError(f"line {lineno}: bad factor {factor!r}")
-                which = next(
-                    i for i, (g, _, _) in enumerate(gens) if g == match.group(1)
-                )
-                exponents[which] += int(match.group(3) or 1)
-            relations.append(tuple(exponents))
+def parse(text: str) -> FiniteModule:
+    """Read the text format."""
+    lines = [(f"line {n}", raw.split()) for n, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(where, tokens) for where, tokens in lines if tokens and tokens[0][0] != "#"]
+    if not lines:
+        raise ParseError("line 1", "empty module file")
+    where, head = lines[0]
+    if len(head) != 4 or head[0] != "module" or head[2] != "over":
+        raise ParseError(where, "expected 'module <name> over <algebra>'")
+    algebra = parse_algebra(head[3], where)
+    gens, sqs = [], []
+    for where, tokens in lines[1:]:
+        if tokens[0] == "gen":
+            if len(tokens) != 3:
+                raise ParseError(where, "expected 'gen <id> <degree>'")
+            gens.append((where, tokens[1], _integer(tokens[2], where, "degree")))
+        elif tokens[0] == "sq":
+            if len(tokens) < 5 or tokens[3] != "=":
+                raise ParseError(where, "expected 'sq <k> <id> = <targets>'")
+            targets = tokens[4::2]
+            if tokens[5::2] != ["+"] * (len(targets) - 1):
+                raise ParseError(where, "targets must be joined with '+'")
+            k = _integer(tokens[1], where, "operation", least=1)
+            sqs.append((where, k, tokens[2], targets))
         else:
-            raise ValueError(f"line {lineno}: unknown directive {tokens[0]!r}")
-    return PolyModule(name, tuple(gens), tuple(relations))
+            raise ParseError(where, f"unknown directive {tokens[0]!r}")
+    return _build(head[1], algebra, gens, sqs)
 
 
 def _json_field(payload: dict, key: str, kind: type, what: str):
     if key not in payload:
-        raise ValueError(f"json: missing key {key!r}")
+        raise ParseError("json", f"missing key {key!r}")
     if not isinstance(payload[key], kind):
-        raise ValueError(f"json: {key!r} must be {what}")
+        raise ParseError("json", f"{key!r} must be {what}")
     return payload[key]
 
 
-def _json_ids(value, index: dict[str, int], where: str) -> list[int]:
+def _json_ids(value, where: str) -> list[str]:
+    """A list of ids; each is one token, so messages that name it stay one line."""
     if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
-        raise ValueError(f"json: {where} must be a list of ids")
+        raise ParseError(where, "expected a list of ids")
     for g in value:
-        if g not in index:
-            raise ValueError(f"json: {where}: unknown id {g!r}")
-    return [index[g] for g in value]
+        if not is_id(g):
+            raise ParseError(where, f"bad id {g!r}")
+    return value
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     out = {}
     for k, value in pairs:
         if k in out:
-            raise ValueError(f"json: repeated key {k!r}")
+            raise ParseError("json", f"repeated key {k!r}")
         out[k] = value
     return out
 
 
 def parse_json(text: str) -> FiniteModule:
+    """Read the JSON format."""
     import json
 
-    payload = json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        # an integer too long for int() reads as None, which no field accepts
+        payload = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_number)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"json: line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except RecursionError:
+        raise ParseError("json", "nested too deeply") from None
     if not isinstance(payload, dict):
-        raise ValueError("json: expected an object")
+        raise ParseError("json", "expected an object")
     name = _json_field(payload, "module", str, "a string")
+    if name.split() != [name]:
+        raise ParseError("json", f"bad module name {name!r}")
     algebra = parse_algebra(_json_field(payload, "algebra", str, "a string"), "json")
-    pairs = _json_field(payload, "gens", list, "a list of [id, degree] pairs")
-    for pair in pairs:
-        if not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and isinstance(pair[0], str)
-            and type(pair[1]) is int
-        ):
-            raise ValueError(f"json: gens entry {pair!r} is not an [id, degree] pair")
-    gens = tuple(g for g, _ in pairs)
-    degrees = tuple(d for _, d in pairs)
-    index = {g: i for i, g in enumerate(gens)}
-    tables: dict[int, tuple[int, ...]] = {}
-    for k, rows in _json_field(payload, "sq", dict, "an object").items():
-        if not k.isdecimal() or not isinstance(rows, dict):
-            raise ValueError(f"json: sq entry {k!r} must map ids to lists of ids")
-        if k != str(int(k)):
-            raise ValueError(f"json: sq key {k!r} must be written {str(int(k))!r}")
-        table = [0] * len(gens)
+    gens = []
+    for i, pair in enumerate(_json_field(payload, "gens", list, "a list of [id, degree] pairs")):
+        where = f"json: gens entry {i}"
+        if not isinstance(pair, list) or [type(x) for x in pair] != [str, int]:
+            raise ParseError(where, "expected an [id, degree] pair")
+        gens.append((where, *pair))
+    sq = _json_field(payload, "sq", dict, "an object")
+    for key in payload:
+        if key not in ("module", "algebra", "gens", "sq"):
+            raise ParseError("json", f"unknown key {key!r}")
+    sqs = []
+    for key, rows in sq.items():
+        k = _number(key) if key.isdecimal() else None
+        if k is None or not isinstance(rows, dict):
+            raise ParseError("json", f"sq entry {key!r} must map ids to lists of ids")
+        if key != str(k):
+            raise ParseError("json", f"sq key {key!r} must be written {str(k)!r}")
+        if k < 1:
+            raise ParseError(f"json: sq {key}", "k must be at least 1")
         for src, targets in rows.items():
-            (i,) = _json_ids([src], index, f"sq {k}")
-            for j in _json_ids(targets, index, f"sq {k} {src}"):
-                table[i] ^= 1 << j
-        tables[int(k)] = tuple(table)
-    return FiniteModule(name, algebra, gens, degrees, tables)
+            _json_ids([src], f"json: sq {key}")
+            where = f"json: sq {key} {src}"
+            sqs.append((where, k, src, _json_ids(targets, where)))
+    return _build(name, algebra, gens, sqs)
 
 
-def load(path: str | Path):
+def load(path: str | Path) -> FiniteModule:
+    """A module file, JSON for a .json path; an unreadable or non-UTF-8 file is a ValueError."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
     if path.suffix == ".json":
         return parse_json(text)
     return parse(text)

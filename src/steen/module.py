@@ -14,14 +14,15 @@ basis monomial b, reading Sq(2^e) b from the columns of `generator_matrix`;
 the recurrence makes that enough.
 
 A module whose degrees all agree mod 2^k is a double, however it was made,
-and its `doubling` is the largest such k.  Its `FreeMap` is built over the
-base algebra A(n - k), or A, on the degrees (d - bottom) / 2^k, with the
-given Sq(2^(e+k)) tables as Sq(2^e): Sq(x) acts as Sq(x / 2^k) on that
-base, or as zero unless 2^k divides every exponent of x.  Validation and
-duals run on the base too, and name the module's own operations.  So no
-block is built in the doubled degrees, where a deep double would need the
-basis of A(n) thousands of degrees up.  A module that is no double has
-doubling 0 and is its own base, shifted to start in degree 0.
+and its `doubling` is the largest such k (0 for a module in one degree).
+Its `FreeMap` is built over the base algebra A(n - k), or A, on the degrees
+(d - bottom) / 2^k, with the given Sq(2^(e+k)) tables as Sq(2^e): Sq(x)
+acts as Sq(x / 2^k) on that base, or as zero unless 2^k divides every
+exponent of x.  Validation and duals run on the base too, and name the
+module's own operations.  So no block is built in the doubled degrees,
+where a deep double would need the basis of A(n) thousands of degrees up.
+A module that is no double has doubling 0 and is its own base, shifted to
+start in degree 0.
 
 A cyclic quotient A(n) / (relations) is the cokernel of a free map: a
 `FreeMap` from the free module on the relations into A(n), whose image in
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
+from math import gcd
 from typing import NamedTuple
 
 from steen.gf2 import Echelon, bits, kernel, rank
@@ -75,13 +77,19 @@ __all__ = [
     "extension_enumerate",
     "find_isomorphism",
     "hom_basis",
+    "is_id",
     "restrict",
     "shift",
     "tensor",
     "trivial_module",
 ]
 
-_ID_FORBIDDEN = set("+=# \t\n")
+_ID_FORBIDDEN = set("+=#")
+
+
+def is_id(g: str) -> bool:
+    """Whether g can name a basis class: one token, without + = or #."""
+    return g.split() == [g] and _ID_FORBIDDEN.isdisjoint(g)
 
 
 class FiniteModule:
@@ -102,7 +110,7 @@ class FiniteModule:
         if len(set(gens)) != len(gens):
             raise ValueError(f"{name}: duplicate basis ids")
         for g in gens:
-            if not g or _ID_FORBIDDEN & set(g):
+            if not is_id(g):
                 raise ValueError(f"{name}: bad basis id {g!r}")
         dim = len(gens)
         clean: dict[int, tuple[int, ...]] = {}
@@ -131,8 +139,9 @@ class FiniteModule:
         self._claims = {k: t for k, t in clean.items() if k & (k - 1)}
         self.validated = False
         self._zeros = (0,) * dim
-        # doubling: the largest k >= 1, at most n over A(n), with all degrees
-        # equal mod 2^k, else 0.  Such a module is a double: it acts through
+        # doubling: the largest k, at most n over A(n), with all degrees equal
+        # mod 2^k: the trailing zeros of the gcd of the offsets d - bottom, or
+        # 0 for a module in one degree.  Such a module is a double: it acts through
         # its base, with degrees (d - bottom) / 2^k over A(n - k), or over A,
         # whose Sq^j is the given Sq^(2^k j).  The module is valid exactly
         # when its base is, and Sq(x) then acts as Sq(x / 2^k) does on the
@@ -144,10 +153,9 @@ class FiniteModule:
         # on a module in one parity, so the ideal does and the action
         # factors through V; k steps give V^k.  Over A, read A for every A(m).
         bottom = min(degrees, default=0)
-        k = self.span.bit_length() if algebra.n is None else algebra.n
-        while k and any((d - bottom) % (1 << k) for d in degrees):
-            k -= 1
-        self.doubling = k
+        offsets = gcd(*(d - bottom for d in degrees))
+        k = max((offsets & -offsets).bit_length() - 1, 0)
+        self.doubling = k = k if algebra.n is None else min(k, algebra.n)
         # the free module on the base, g_i -> x_i, acting through the tables
         self._action = FreeMap(
             algebra if algebra.n is None else Algebra(n=algebra.n - k),
@@ -190,11 +198,10 @@ class FiniteModule:
         Sq^k lies in A(n) exactly when k < 2^(n+1).  A double's Sq^k is zero
         unless 2^doubling divides k.
         """
-        end = self.span + 1 if self.algebra.n is None else min(self.span + 1, 2 << self.algebra.n)
         step = 1 << self.doubling
         rows = {
             k: [self._act_basis((k,), i) for i in range(self.dim)]
-            for k in range(step, end, step)
+            for k in range(step, self.algebra.sq_bound(self.span) + 1, step)
         }
         return {k: tuple(t) for k, t in rows.items() if any(t)}
 
@@ -263,8 +270,9 @@ class FiniteModule:
                 f" DEGREE_CAP = {DEGREE_CAP}"
             )
         if base.n is not None:
-            # summed lazily and only up to the top class: a wide gap costs nothing
-            counts = (basis_count(base, d) for d in range(1, min(span, base.top_degree) + 1))
+            # summed lazily, up to the top class, which is 2^(n+1) - 1 or more
+            top = span if span.bit_length() <= base.n + 1 else min(span, base.top_degree)
+            counts = (basis_count(base, d) for d in range(1, top + 1))
             if any(need > BASIS_BUDGET for need in accumulate(counts)):
                 raise ValueError(
                     f"{self.name}: span {span} over {base.name} needs more of its basis"

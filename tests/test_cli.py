@@ -171,7 +171,7 @@ def test_validate_parse_error(tmp_path, capsys):
         ('{"module": 3, "algebra": "A(1)", "gens": [], "sq": {}}', "'module' must be"),
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", "0"]], "sq": {}}', "gens entry"),
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"1": {"b": []}}}',
-         "unknown id 'b'"),
+         "unknown id b"),
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"x": {}}}',
          "sq entry 'x'"),
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"1": {"a": "a"}}}',
@@ -184,6 +184,8 @@ def test_validate_parse_error(tmp_path, capsys):
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0], ["b", 1]], '
          '"sq": {"1": {"a": ["b"]}, "1": {}}}',
          "repeated key '1'"),
+        ('{"module": "m", "algebra": "A(1)", "gens": [], "sq": {}, "name": "m"}',
+         "unknown key 'name'"),
     ],
 )
 def test_validate_malformed_json_is_a_usage_error(tmp_path, capsys, payload, message):
@@ -193,6 +195,38 @@ def test_validate_malformed_json_is_a_usage_error(tmp_path, capsys, payload, mes
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "steen: json: nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "show"])
+def test_a_file_that_is_not_utf8_names_its_path(tmp_path, capsys, command):
+    path = tmp_path / "m.mod"
+    path.write_bytes(b"\xffmodule m over A\n")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"steen: cannot read {path}: not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("n", [100_000, 99_999_999_999])
+@pytest.mark.parametrize(
+    "body",
+    ["gen a 0\ngen b 1\nsq 1 a = b\n", "gen a 0\ngen b 0\n", "gen a 0\ngen b 2\nsq 2 a = b\n"],
+)
+@pytest.mark.parametrize("command", ["validate", "show"])
+def test_a_file_over_a_huge_subalgebra_is_read(tmp_path, capsys, n, body, command):
+    # the top degree and the profile of A(n) cost nothing like 2^n
+    path = tmp_path / "m.mod"
+    path.write_text(f"module m over A({n})\n" + body)
+    assert main([command, str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == ("m: ok\n" if command == "validate" else path.read_text())
 
 
 @pytest.mark.parametrize("command", ["validate", "show", "dual"])

@@ -325,6 +325,24 @@ def test_an_dimension_formula():
         assert total == 1 << ((n + 1) * (n + 2) // 2)
 
 
+def test_top_degree_is_the_sum_over_the_profile():
+    # the top class of A(n) is Sq(2^(n+1) - 1, 2^n - 1, ..., 1)
+    for n in range(41):
+        profile = sum(((1 << (n + 2 - i)) - 1) * ((1 << i) - 1) for i in range(1, n + 2))
+        assert an(n).top_degree == profile
+
+
+def test_a_huge_subalgebra_agrees_with_a_in_low_degrees():
+    # n is compared by bit lengths, never shifted by
+    huge = an(99_999_999_999)
+    for d in range(12):
+        assert enumerate_basis(huge, d) == milnor_basis(d)
+        assert basis_count(huge, d) == basis_count(FULL_A, d)
+    assert huge.generator_exponents(100) == FULL_A.generator_exponents(100) == list(range(7))
+    assert huge.contains((1 << 40, 1 << 39))
+    assert an(2).sq_bound(100) == 7 and huge.sq_bound(100) == 100
+
+
 def test_an_membership_matches_enumeration():
     for n in range(3):
         algebra = an(n)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -16,7 +17,7 @@ from oracles import save, serialize_json
 from steen.catalogue import get_module
 from steen.cli import main
 from steen.milnor import an
-from steen.modfile import load, parse, parse_json, serialize
+from steen.modfile import ParseError, load, parse, parse_json, serialize
 
 ROUND_TRIP_NAMES = ("joker", "joker1", "joker(3)", "jokerP", "joker2P1", "a1", "w4")
 
@@ -108,7 +109,6 @@ def test_parse_errors():
         ("module m over A\ngen a x\n", "line 2: bad degree 'x'"),
         ("module m over A\ngen a 0\nsq one a = a\n", "line 3: bad operation 'one'"),
         ("module m over A\ngen a 0\nsq 0 a = a\n", "line 3: bad operation '0'"),
-        ("polymodule p\npolygen g x real\n", "line 2: bad degree 'x'"),
         (
             "module m over A(1)\ngen a 0\ngen b 0\nsq 1 a = b\n",
             "line 4: Sq\\^1 a hits b of wrong degree",
@@ -125,48 +125,67 @@ def test_error_messages_carry_line_numbers():
         parse(text)
 
 
-def test_polymodule_round_trip():
-    from steen.unstable import bso3, bsu3
-
-    for P in (bso3(), bsu3(), bso3().with_relations((3, 0), (0, 2))):
-        assert parse(serialize(P)) == P
-
-
-def test_polymodule_literal_text():
-    text = "\n".join(
-        [
-            "polymodule BSO(3)",
-            "# characteristic classes",
-            "polygen w2 2 real",
-            "polygen w3 3 real",
-            "rel w2^3",
-            "rel w2 w3^2",
-        ]
-    )
-    P = parse(text)
-    assert P.name == "BSO(3)"
-    assert P.generators == (("w2", 2, "real"), ("w3", 3, "real"))
-    assert P.relations == ((3, 0), (1, 2))
-
-
-def test_polymodule_parse_errors():
+def test_checks_of_the_builder_name_their_line():
     cases = [
-        ("polymodule\n", "expected 'polymodule"),
-        ("polymodule p\npolygen w 2\n", "expected 'polygen"),
-        ("polymodule p\npolygen w 2 octonionic\n", "expected 'polygen"),
-        ("polymodule p\npolygen w 2 real\nrel\n", "expected 'rel"),
-        ("polymodule p\npolygen w 2 real\nrel v^2\n", "bad factor"),
-        ("polymodule p\npolygen w 2 real\nrel w^x\n", "bad factor"),
-        ("polymodule p\npolygen w 2 real\ngen a 0\n", "unknown directive"),
+        ("", "line 1: empty module file"),
+        ("module m over A(1)\ngen a+ 0\n", "line 2: bad id 'a+'"),
+        ("module m over A(1)\ngen a 0\ngen b 4\nsq 4 a = b\n", "line 4: Sq^4 is not in A(1)"),
+        (
+            "module m over A(1)\ngen a 0\ngen b 1\nsq 1 a = b + b\nsq 1 a = b\n",
+            "line 4: repeated target b",
+        ),
+        (
+            "module m over A(1)\ngen a 0\ngen b 1\ngen c 1\nsq 1 a = b\nsq 1 a = c\n",
+            "line 6: repeated sq 1 a",
+        ),
+        ("polymodule p\npolygen w 2 real\n", "line 1: expected 'module <name> over <algebra>'"),
     ]
-    for text, fragment in cases:
-        with pytest.raises(ValueError, match=fragment):
+    for text, message in cases:
+        with pytest.raises(ParseError) as caught:
             parse(text)
+        assert str(caught.value) == message
+        assert message.startswith(caught.value.where + ": ")
+
+
+def _payload(**fields) -> str:
+    payload = {"module": "m", "algebra": "A(1)", "gens": [["a", 0], ["b", 1]], "sq": {}}
+    return json.dumps(payload | fields)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_payload(sq={"2": {"a": ["b"]}}), "json: sq 2 a: Sq^2 a hits b of wrong degree"),
+        (_payload(algebra="A(0)", sq={"2": {"a": []}}), "json: sq 2 a: Sq^2 is not in A(0)"),
+        (_payload(sq={"1": {"a": ["b", "b"]}}), "json: sq 1 a: repeated target b"),
+        (_payload(sq={"1": {"a": ["c"]}}), "json: sq 1 a: unknown id c"),
+        (_payload(sq={"1": {"a b": ["b"]}}), "json: sq 1: bad id 'a b'"),
+        (_payload(sq={"1": {"a": ["b\nc"]}}), "json: sq 1 a: bad id 'b\\nc'"),
+        (_payload(sq={"0": {"a": ["a"]}}), "json: sq 0: k must be at least 1"),
+        (_payload(gens=[["a", 0], ["a", 1]]), "json: gens entry 1: duplicate id a"),
+        (_payload(gens=[["a=b", 0]]), "json: gens entry 0: bad id 'a=b'"),
+        (_payload(gens=[["a", 0, 1]]), "json: gens entry 0: expected an [id, degree] pair"),
+        (_payload(gens=[["a", True]]), "json: gens entry 0: expected an [id, degree] pair"),
+        (_payload(module="two words"), "json: bad module name 'two words'"),
+        (_payload(comment="x"), "json: unknown key 'comment'"),
+        ('{"module": ', "json: line 1 column 12: Expecting value"),
+        ("[" * 100_000, "json: nested too deeply"),
+        (
+            _payload().replace('["b", 1]', '["b", 1' + "0" * 5000 + "]"),
+            "json: gens entry 1: expected an [id, degree] pair",
+        ),
+    ],
+    ids=lambda value: value[:60],
+)
+def test_json_refusals_name_their_key_path(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_json(text)
+    assert str(caught.value) == message
 
 
 # -- fuzzing the readers: every input is read, refused in one line, or invalid
 
-_ALGEBRAS = ("A", "A(0)", "A(1)", "A(2)", "A(3)", "A(12)")
+_ALGEBRAS = ("A", "A(0)", "A(1)", "A(2)", "A(3)", "A(12)", "A(99999999999)")
 _WORDS = (
     "module", "over", "gen", "sq", "=", "+", "#", "polymodule", "polygen", "rel", "real",
     "complex", "w^2", "w^x", "x0", "x1", "zz", "A", "A(1)", "A(x)", "A()", "B", "-1", "0",
@@ -253,6 +272,11 @@ def _json_file(rnd):
         if payload:
             payload = _edited(rnd, payload)
     text = json.dumps(payload)
+    # maybe nest it in arrays or objects, at times deeper than the recursion limit
+    if rnd.random() < 0.1:
+        depth = rnd.randint(1, 3 * sys.getrecursionlimit())
+        opening, closing = rnd.choice((("[", "]"), ('{"a": ', "}")))
+        text = opening * depth + text + closing * depth
     # and maybe cut the text short
     return text[: rnd.randint(0, len(text))] if rnd.random() < 0.3 else text
 
@@ -260,8 +284,9 @@ def _json_file(rnd):
 def _read_or_refuse_in_one_line(read, text):
     try:
         read(text)
-    except ValueError as exc:
+    except ParseError as exc:
         assert "\n" not in str(exc)
+        assert str(exc).startswith(("line ", "json"))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
