@@ -514,12 +514,13 @@ def generator_matrix(algebra: Algebra, e: int, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _expansion_table(algebra: Algebra, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each degree-d basis monomial as a sum of Sq(2^e) * (lower monomial).
+def _expansion_table(algebra: Algebra, d: int) -> tuple[tuple, int]:
+    """The degree-d plan: each basis monomial as a sum of Sq(2^e) * (lower monomial).
 
-    Entry i lists the (e, i') with Sq(x_i) = sum Sq(2^e) Sq(x'_i'), where x_i
-    is the i-th monomial of enumerate_basis(algebra, d) and x'_i' the i'-th
-    of enumerate_basis(algebra, d - 2^e).  Sq(2^e) is dual to the primitive
+    Returns (products, size): each product (e, i', targets) is a term
+    Sq(2^e) Sq(x'_i') of Sq(x_i) for every i in targets, x_i the i-th of the
+    size monomials of enumerate_basis(algebra, d) and x'_i' the i'-th of
+    enumerate_basis(algebra, d - 2^e).  Sq(2^e) is dual to the primitive
     xi_1^(2^e), so it is a term of no product of positive-degree elements,
     and the elimination gives it itself as its expansion.  Positive degrees
     only.
@@ -530,15 +531,17 @@ def _expansion_table(algebra: Algebra, d: int) -> tuple[tuple[tuple[int, int], .
         for i2, vec in enumerate(generator_matrix(algebra, e, d - (1 << e))):
             ech.add(vec, 1 << len(spanning))
             spanning.append((e, i2))
-    table = []
-    for i, m in enumerate(enumerate_basis(algebra, d)):
+    targets: dict[int, list[int]] = {}  # spanning index -> monomials it is a term of
+    basis = enumerate_basis(algebra, d)
+    for i, m in enumerate(basis):
         residual, combo = ech.reduce(1 << i)
         if residual:
             raise ArithmeticError(
                 f"{mono_str(m)} is not in the span of Sq(2^e) {algebra.name}"
             )
-        table.append(tuple(spanning[c] for c in bits(combo)))
-    return tuple(table)
+        for c in bits(combo):
+            targets.setdefault(c, []).append(i)
+    return tuple((*spanning[c], tuple(ms)) for c, ms in targets.items()), len(basis)
 
 
 class FreeMap:
@@ -590,23 +593,17 @@ class FreeMap:
         if hit is not None:
             return hit
         ta = self.degrees[a]
-        images: dict[tuple[int, int], int] = {}
-        hit = []
-        for terms in _expansion_table(self.algebra, k):
-            vec = 0
-            for term in terms:
-                image = images.get(term)
-                if image is None:
-                    e, i = term
-                    low = self.block(a, k - (1 << e))[i]
-                    matrix = self.matrix(e, ta + k - (1 << e))
-                    image = 0
-                    while low:
-                        bit = low & -low
-                        image ^= matrix[bit.bit_length() - 1]
-                        low ^= bit
-                    images[term] = image
-                vec ^= image
-            hit.append(vec)
+        products, size = _expansion_table(self.algebra, k)
+        hit = [0] * size
+        for e, i, targets in products:
+            low = self.block(a, k - (1 << e))[i]
+            matrix = self.matrix(e, ta + k - (1 << e))
+            image = 0
+            while low:
+                bit = low & -low
+                image ^= matrix[bit.bit_length() - 1]
+                low ^= bit
+            for m in targets:
+                hit[m] ^= image
         self._blocks[(a, k)] = hit
         return hit

@@ -68,6 +68,7 @@ from steen.milnor import (
 BASIS_BUDGET = sum(basis_count(Algebra(), d) for d in range(1, DEGREE_CAP + 1))
 
 __all__ = [
+    "DOUBLING_MAX",
     "FiniteModule",
     "ModuleMap",
     "coaction",
@@ -85,6 +86,10 @@ __all__ = [
 ]
 
 _ID_FORBIDDEN = set("+=#")
+
+# the largest k double() takes: degrees times 2^k stay far below the 4300
+# digits Python converts to text, and no huge integer is built
+DOUBLING_MAX = 4096
 
 
 def is_id(g: str) -> bool:
@@ -394,6 +399,8 @@ def double(M: FiniteModule, k: int, name: str | None = None) -> FiniteModule:
     """
     if k < 0:
         raise ValueError("doubling exponent must be non-negative")
+    if k > DOUBLING_MAX:
+        raise ValueError(f"doubling exponent must be at most {DOUBLING_MAX}")
     if k == 0:
         return M
     return FiniteModule(
@@ -425,6 +432,9 @@ def tensor(M: FiniteModule, N: FiniteModule, name: str | None = None) -> FiniteM
     if M.algebra != N.algebra:
         raise ValueError(f"tensor over different algebras: {M.algebra} vs {N.algebra}")
     gens = tuple(f"{g}{h}" for g in M.gens for h in N.gens)
+    if len(set(gens)) < len(gens):
+        # concatenated ids collide (a.bc and ab.c): name classes by position
+        gens = tuple(f"x{i}_{j}" for i in range(M.dim) for j in range(N.dim))
     degrees = tuple(dm + dn for dm in M.degrees for dn in N.degrees)
     dim_n = N.dim
     span = (max(degrees) - min(degrees)) if degrees else 0

@@ -17,9 +17,10 @@ degree-t columns would give, since the generators of C_s added at t come
 last in block order and are independent of the columns before them.  The
 candidates at (s, t) are the cycles of stage s-1, and at stage 0 the unit
 vectors of the module in degree t; each candidate outside the span so far
-becomes a generator.  A stage-0 generator's value is its unit vector, and a
-later one's is its residual.  The echelon never back-substitutes; its
-residuals, combos and pivots depend only on the row space.
+becomes a generator, valued at its unit vector at stage 0 and its residual
+after; these bitsets are decoded only for dumps, charts and checks.  The
+echelon never back-substitutes; its residuals, combos and pivots depend only
+on the row space.
 
 Each column is the same element in the same basis as a direct product
 Sq(x) * d_s(g_a) would give, so the kernel combinations, the chosen
@@ -29,7 +30,7 @@ product-by-product construction.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from functools import cached_property
 from typing import NamedTuple
 
 # kernel is unused here but stays bound: bench/tracer.py wraps it by this name
@@ -39,7 +40,6 @@ from steen.milnor import (
     Algebra,
     Element,
     FreeMap,
-    Monomial,
     enumerate_basis,
     generator_matrix,
     milnor_product,
@@ -75,8 +75,17 @@ class Resolution:
         self.s_max = s_max
         self.t_max = t_max
         self.degrees: list[list[int]] = []
-        self.values: list[int] = []
-        self.diffs: list[list[Entry]] = []
+        # d_s(g_a) as a bitset: over M's basis at s = 0, else over C_(s-1) in block order
+        self.values: list[list[int]] = []
+
+    @cached_property
+    def diffs(self) -> list[list[Entry]]:
+        """values decoded to generator index -> algebra element; stage 0 is empty."""
+        out: list[list[Entry]] = [[]]
+        for below, degrees, values in zip(self.degrees, self.degrees[1:], self.values[1:]):
+            source = _FreeModule(self.algebra, below)
+            out.append([source.element(t, v) for t, v in zip(degrees, values)])
+        return out
 
     def rank(self, s: int, t: int) -> int:
         if not 0 <= s < len(self.degrees):
@@ -135,13 +144,13 @@ class _FreeModule:
 
     def element(self, u: int, vec: int) -> Entry:
         """A degree-u bitset as generator index -> algebra element."""
-        offsets = self.offsets(u)
-        terms: dict[int, list[Monomial]] = {}
-        for c in bits(vec):
-            j = bisect_right(offsets, c) - 1
-            basis = enumerate_basis(self.algebra, u - self.degrees[j])
-            terms.setdefault(j, []).append(basis[c - offsets[j]])
-        return {j: Element(monos) for j, monos in terms.items()}
+        offsets, out = self.offsets(u), {}
+        for j, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            block = (vec >> lo) & ((1 << (hi - lo)) - 1)
+            if block:
+                basis = enumerate_basis(self.algebra, u - self.degrees[j])
+                out[j] = Element.from_set(frozenset(basis[i] for i in bits(block)))
+        return out
 
 
 def minimal_resolution(
@@ -165,10 +174,9 @@ def minimal_resolution(
     # cycles[t]: the candidates at (s, t), as combos over the basis of the
     # target of d_s; at stage 0 they are the unit vectors of M
     cycles = {t: [1 << i for i in M.basis_at(t)] for t in range(M.bottom, t_max + 1)}
-    target: _FreeModule | None = None
     d = FreeMap(algebra, lambda e, u: M.table(1 << e))
     for s in range(s_max + 1):
-        diffs_s: list[Entry] = []
+        values: list[int] = []
         following: dict[int, list[int]] = {}
         for t in range(M.bottom, t_max + 1):
             combos = cycles[t]
@@ -182,19 +190,12 @@ def minimal_resolution(
                 continue
             for combo in combos:
                 residual = span.add(combo)[0]
-                if not residual:
-                    continue
-                if target is None:
-                    # d_0 of a new generator is the unit vector itself
-                    res.values.append(combo)
-                    d.add(t, combo)
-                else:
-                    diffs_s.append(target.element(t, residual))
-                    d.add(t, residual)
+                if residual:
+                    values.append(residual if s else combo)
+                    d.add(t, values[-1])
         res.degrees.append(d.degrees)
-        res.diffs.append(diffs_s)
-        target = _FreeModule(algebra, d.degrees)
-        d = FreeMap(algebra, target.matrix)
+        res.values.append(values)
+        d = FreeMap(algebra, _FreeModule(algebra, d.degrees).matrix)
         cycles = following
     return res
 
@@ -211,7 +212,7 @@ def resolution_checks(R: Resolution) -> list[str]:
             for a, entry in enumerate(R.diffs[1]):
                 vec = 0
                 for j, e in entry.items():
-                    vec ^= R.module.act(e, R.values[j])
+                    vec ^= R.module.act(e, R.values[0][j])
                 if vec:
                     problems.append(f"d0 d1 g1_{a} is nonzero in {R.module.name}")
         else:
@@ -314,7 +315,7 @@ def emit_chart(C: ExtChart, format: str = "text") -> bytes:
 def dump_resolution(R: Resolution) -> str:
     """Differentials as text, one line per generator."""
     lines = []
-    for j, value in enumerate(R.values):
+    for j, value in enumerate(R.values[0]):
         targets = " + ".join(R.module.gens[i] for i in bits(value))
         lines.append(f"d 0 g0_{j} = {targets}")
     for s in range(1, len(R.degrees)):

@@ -40,6 +40,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from steen.dual import zeta_in_xi
@@ -61,7 +62,6 @@ from steen.milnor import (
 )
 from steen.modfile import serialize
 from steen.module import FiniteModule, ModuleMap, double, restrict, shift
-from steen.resolution import Resolution
 
 Mono = tuple[int, ...]  # exponent tuple of xi_1, xi_2, ..., no trailing zeros
 Poly = frozenset[Mono]
@@ -886,6 +886,16 @@ def _mono_times(m, e):
     return milnor_product(sq(*m), e).monomials
 
 
+class ReferenceResolution(NamedTuple):
+    """What reference_resolution finds: per stage, generator degrees, the
+    differentials as bitsets (over M's basis at stage 0, over the block-order
+    basis of the stage below after), and the same differentials decoded."""
+
+    degrees: list
+    values: list
+    diffs: list
+
+
 def reference_resolution(algebra, M, s_max, t_max):
     """Minimal resolution with every column an explicit product Sq(m) * d(g).
 
@@ -895,7 +905,7 @@ def reference_resolution(algebra, M, s_max, t_max):
     """
     if algebra.n is not None and M.algebra.n is None:
         M = restrict(M, algebra)
-    res = Resolution(algebra, M, s_max, t_max)
+    res = ReferenceResolution([], [], [])
 
     degrees0, values0 = [], []
     for t in sorted({d for d in M.degrees if d <= t_max}):
@@ -910,12 +920,12 @@ def reference_resolution(algebra, M, s_max, t_max):
                 degrees0.append(t)
                 values0.append(1 << i)
     res.degrees.append(degrees0)
-    res.values = values0
+    res.values.append(values0)
     res.diffs.append([])
 
     for s in range(1, s_max + 1):
         prev = res.degrees[s - 1]
-        degrees_s, diffs_s = [], []
+        degrees_s, values_s, diffs_s = [], [], []
         for t in range(min(prev, default=t_max + 1), t_max + 1):
             cols, vecs = [], []
             if s == 1:
@@ -924,7 +934,7 @@ def reference_resolution(algebra, M, s_max, t_max):
                         continue
                     for m in enumerate_basis(algebra, t - tj):
                         cols.append((j, m))
-                        vecs.append(M.act_mono(m, res.values[j]))
+                        vecs.append(M.act_mono(m, values0[j]))
             else:
                 pos = {}
                 for j2, tj2 in enumerate(res.degrees[s - 2]):
@@ -962,8 +972,10 @@ def reference_resolution(algebra, M, s_max, t_max):
                         j, m = cols[c]
                         entry[j] = entry.get(j, Element()) + Element([m])
                     degrees_s.append(t)
+                    values_s.append(residual)
                     diffs_s.append(entry)
         res.degrees.append(degrees_s)
+        res.values.append(values_s)
         res.diffs.append(diffs_s)
     return res
 
@@ -985,12 +997,13 @@ def differential_rank(R, s, t):
     rows = []
     if s == 0:
         for j, m in free_basis(R, 0, t):
-            rows.append(R.module.act(sq(*m), R.values[j]))
+            rows.append(R.module.act(sq(*m), R.values[0][j]))
         return reference_rank(rows)
     pos = {c: i for i, c in enumerate(free_basis(R, s - 1, t))}
+    diffs = R.diffs[s]
     for a, m in free_basis(R, s, t):
         vec = 0
-        for j, e in R.diffs[s][a].items():
+        for j, e in diffs[a].items():
             for mm in milnor_product(sq(*m), e).monomials:
                 vec ^= 1 << pos[(j, mm)]
         rows.append(vec)

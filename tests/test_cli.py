@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -271,6 +274,44 @@ def test_double_takes_its_tables_from_the_base(capsys):
 def test_double_rejects_negative_k(capsys):
     assert main(["double", "joker", "-1"]) == 2
     assert "nonnegative" in capsys.readouterr().err
+
+
+def test_double_takes_k_up_to_its_bound(capsys):
+    assert main(["double", "joker", "4096"]) == 0
+    out = capsys.readouterr().out
+    assert f"gen x1 {1 << 4096}" in out.splitlines()
+    assert main(["double", "joker", "4097"]) == 2
+    assert capsys.readouterr().err == "steen: doubling exponent must be at most 4096\n"
+
+
+def test_double_refuses_a_huge_k_in_one_line():
+    # in a child under a 1 GB address-space limit: a double that shifted the
+    # degrees first would ask for gigabytes per degree
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from steen.cli import main; sys.exit(main())"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "double", "joker", "99999999999"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "steen: doubling exponent must be at most 4096\n"
+
+
+def test_tensor_of_files_whose_ids_concatenate_alike(tmp_path, capsys):
+    (tmp_path / "l.mod").write_text("module l over A(1)\ngen a 0\ngen ab 1\nsq 1 a = ab\n")
+    (tmp_path / "r.mod").write_text("module r over A(1)\ngen bc 0\ngen c 2\nsq 2 bc = c\n")
+    assert main(["tensor", str(tmp_path / "l.mod"), str(tmp_path / "r.mod")]) == 0
+    out = capsys.readouterr().out
+    assert "gen x1_0 1" in out.splitlines()
+    (tmp_path / "t.mod").write_text(out)
+    assert main(["show", str(tmp_path / "t.mod")]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_resolve_prints_differentials(capsys):

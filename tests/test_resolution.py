@@ -7,8 +7,9 @@ import pytest
 from functools import lru_cache
 
 from oracles import differential_rank, free_basis, oracle_ext_a1, reference_resolution
+from steen import resolution
 from steen.catalogue import get_module
-from steen.milnor import an, full_a
+from steen.milnor import Element, an, full_a
 from steen.module import FiniteModule, dualize, trivial_module
 from steen.resolution import (
     dump_resolution,
@@ -226,6 +227,27 @@ def test_minimality_no_unit_entries():
                 assert () not in e.monomials
 
 
+@pytest.mark.parametrize(
+    "algebra, M",
+    [(an(2), get_module("joker(2)")), (full_a(), trivial_module(full_a()))],
+    ids=["A(2) joker(2)", "A sphere"],
+)
+def test_resolver_keeps_every_stage_as_bitsets(monkeypatch, algebra, M):
+    assert M.validate() == []
+
+    def refuse(*args):
+        raise AssertionError("the resolver built an algebra element")
+
+    monkeypatch.setattr(resolution._FreeModule, "element", refuse)
+    monkeypatch.setattr(Element, "__init__", refuse)
+    monkeypatch.setattr(Element, "from_set", staticmethod(refuse))
+    R = minimal_resolution(algebra, M, 6, 24)
+    monkeypatch.undo()
+    assert [len(v) for v in R.values] == [len(d) for d in R.degrees]
+    assert all(isinstance(v, int) for stage in R.values for v in stage)
+    assert resolution_checks(R) == []
+
+
 # Sq^1 a = b + c is the only degree-1 image, so the stage-0 generator in
 # degree 1 is the unit vector b, while its residual against the image is c
 STAGE0_CHOICE = FiniteModule(
@@ -269,7 +291,9 @@ def test_resolver_matches_product_route(case):
     ref = reference_resolution(algebra, _module(algebra, name), s_max, t_max)
     assert R.degrees == ref.degrees
     assert R.values == ref.values
-    assert R.diffs == ref.diffs
+    diffs = R.diffs
+    assert diffs == ref.diffs
+    assert R.diffs is diffs  # decoded once, then kept
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
