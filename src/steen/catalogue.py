@@ -229,7 +229,6 @@ def hand_table(name: str) -> FiniteModule | None:
 def _entry_checks(name: str) -> list[str]:
     problems = []
     M = get_module(name)
-    problems.extend(f"construction: {p}" for p in M.validate())
     hand = hand_table(name)
     if hand is not None:
         problems.extend(f"diagram: {p}" for p in hand.validate())

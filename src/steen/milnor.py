@@ -254,23 +254,12 @@ def admissible_words(d: int) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
-def _word_monomials(word: Word) -> frozenset[Monomial]:
-    if not word:
-        return frozenset({()})
-    acc: set[Monomial] = set()
-    for m in _word_monomials(word[1:]):
-        for t in _product_monomials((word[0],), m):
-            _toggle(acc, t)
-    return frozenset(acc)
-
-
-@lru_cache(maxsize=None)
 def _admissible_data(d: int) -> tuple[tuple[Word, ...], Echelon, dict[Monomial, int]]:
     """Echelon of admissible-word expansions over the degree-d Milnor basis."""
     words = admissible_words(d)
     index = basis_index(full_a(), d)
     ech = Echelon()
-    ech.extend(sum(1 << index[m] for m in _word_monomials(word)) for word in words)
+    ech.extend(sum(1 << index[m] for m in sq_word(word).monomials) for word in words)
     return words, ech, index
 
 
@@ -293,45 +282,29 @@ def to_admissible(a: Element) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
-def _antipode_sq(k: int) -> frozenset[Monomial]:
+def _antipode_sq(k: int) -> Element:
     """chi(Sq^k) via chi(Sq^n) = sum_{i=1}^{n} Sq^i chi(Sq^{n-i})."""
-    if k == 0:
-        return frozenset({()})
-    acc: set[Monomial] = set()
+    acc = UNIT if k == 0 else ZERO
     for i in range(1, k + 1):
-        for m in _antipode_sq(k - i):
-            for t in _product_monomials((i,), m):
-                _toggle(acc, t)
-    return frozenset(acc)
+        acc += sq(i) * _antipode_sq(k - i)
+    return acc
 
 
 @lru_cache(maxsize=None)
-def _antipode_mono(m: Monomial) -> frozenset[Monomial]:
-    if not m:
-        return frozenset({()})
-    acc: set[Monomial] = set()
+def _antipode_mono(m: Monomial) -> Element:
+    acc = ZERO
     for word in to_admissible(Element.from_set(frozenset({m}))):
         # anti-homomorphism: chi(Sq^{k1}..Sq^{kl}) = chi(Sq^{kl})..chi(Sq^{k1})
-        term = frozenset({()})
+        term = UNIT
         for k in reversed(word):
-            nxt: set[Monomial] = set()
-            for x in term:
-                for y in _antipode_sq(k):
-                    for t in _product_monomials(x, y):
-                        _toggle(nxt, t)
-            term = frozenset(nxt)
-        for t in term:
-            _toggle(acc, t)
-    return frozenset(acc)
+            term *= _antipode_sq(k)
+        acc += term
+    return acc
 
 
 def antipode(a: Element) -> Element:
     """The canonical anti-automorphism chi, exact in the Milnor basis."""
-    acc: set[Monomial] = set()
-    for m in a.monomials:
-        for t in _antipode_mono(m):
-            _toggle(acc, t)
-    return Element.from_set(frozenset(acc))
+    return sum((_antipode_mono(m) for m in a.monomials), ZERO)
 
 
 # -- subalgebra profiles ------------------------------------------------------

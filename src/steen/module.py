@@ -398,7 +398,7 @@ def double(M: FiniteModule, k: int, name: str | None = None) -> FiniteModule:
     it acts through a base as M does; M's composite claims carry over.
     """
     if k < 0:
-        raise ValueError("doubling exponent must be non-negative")
+        raise ValueError("doubling exponent must be nonnegative")
     if k > DOUBLING_MAX:
         raise ValueError(f"doubling exponent must be at most {DOUBLING_MAX}")
     if k == 0:

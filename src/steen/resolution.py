@@ -229,11 +229,16 @@ def resolution_checks(R: Resolution) -> list[str]:
 
 
 class ExtChart(NamedTuple):
-    """Ext ranks by bidegree plus h_i multiplication lines between dots."""
+    """Ext ranks by bidegree plus h_i multiplication lines between dots.
+
+    The stem axis starts at stem_min, min(0, the module's bottom degree): C_s
+    is generated in degrees bottom + s and up, so no class lies further left.
+    """
 
     ranks: dict[tuple[int, int], int]
     h_lines: list[tuple[int, tuple[int, int, int], tuple[int, int, int]]]
     range: tuple[int, int]
+    stem_min: int
 
 
 def ext_chart(R: Resolution) -> ExtChart:
@@ -249,7 +254,7 @@ def ext_chart(R: Resolution) -> ExtChart:
                     if ((1 << i),) in e.monomials:
                         lines.append((i, R.dot(s - 1, j), R.dot(s, a)))
     lines.sort()
-    return ExtChart(ranks, lines, (R.s_max, R.t_max))
+    return ExtChart(ranks, lines, (R.s_max, R.t_max), min(0, R.module.bottom))
 
 
 def _cell(rank: int) -> str:
@@ -260,14 +265,13 @@ def _cell(rank: int) -> str:
 
 def _chart_text(C: ExtChart) -> str:
     s_max, t_max = C.range
-    stem_max = max(t_max - s_max, 0)
-    header = "   " + "".join(f"{stem:>4}" for stem in range(stem_max + 1))
+    stems = range(C.stem_min, max(t_max - s_max, 0) + 1)
+    header = "   " + "".join(f"{stem:>4}" for stem in stems)
     lines = [header]
     if C.ranks:
         for s in range(s_max, -1, -1):
             row = "".join(
-                f"{_cell(C.ranks.get((s, s + stem), 0)):>4}"
-                for stem in range(stem_max + 1)
+                f"{_cell(C.ranks.get((s, s + stem), 0)):>4}" for stem in stems
             )
             lines.append(f"{s:>3}" + row)
     return "\n".join(lines) + "\n"
@@ -281,8 +285,8 @@ def _dot_xy(dot: tuple[int, int, int]) -> tuple[int, int]:
 def _chart_svg(C: ExtChart) -> str:
     s_max, t_max = C.range
     stem_max = max(t_max - s_max, 0)
-    x0, y0 = -10, -20 * s_max - 10
-    width, height = 20 * stem_max + 30, 20 * s_max + 20
+    x0, y0 = 20 * C.stem_min - 10, -20 * s_max - 10
+    width, height = 20 * (stem_max - C.stem_min) + 30, 20 * s_max + 20
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0} {y0} {width} {height}">',

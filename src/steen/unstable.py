@@ -5,15 +5,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from steen.dual import poly_mul
-from steen.gf2 import bits
 from steen.milnor import DEGREE_CAP, Algebra
-from steen.module import FiniteModule, find_isomorphism
+from steen.module import FiniteModule
 
 __all__ = [
     "PolyModule",
     "bso3",
     "bsu3",
-    "compare_range",
     "truncate_quotient",
     "wu_action",
 ]
@@ -202,9 +200,7 @@ def bsu3() -> PolyModule:
     return PolyModule("BSU(3)", (("c2", 4, "complex"), ("c3", 6, "complex")))
 
 
-def truncate_quotient(
-    P: PolyModule, algebra: Algebra, top: int, name: str | None = None
-) -> FiniteModule:
+def truncate_quotient(P: PolyModule, algebra: Algebra, top: int) -> FiniteModule:
     """The positive-degree quotient by the relation ideal, truncated above top."""
     if not 1 <= top <= DEGREE_CAP:
         raise ValueError(f"cap {top} outside 1..{DEGREE_CAP}")
@@ -239,47 +235,9 @@ def truncate_quotient(
             rows.append(row)
         tables[k] = tuple(rows)
     rels = "+".join(map(P.mono_str, P.relations))
-    label = name or (f"{P.name}/({rels})@{top}" if rels else f"{P.name}@{top}")
+    label = f"{P.name}/({rels})@{top}" if rels else f"{P.name}@{top}"
     M = FiniteModule(label, algebra, tuple(map(P.mono_str, basis)), tuple(degrees), tables)
     problems = M.validate()
     if problems:
         raise ValueError("; ".join(problems))
     return M
-
-
-def compare_range(M: FiniteModule, N: FiniteModule, lo: int, hi: int) -> bool:
-    """Degreewise-equivariant isomorphism verdict on the classes in [lo, hi]."""
-    return find_isomorphism(_clip(M, lo, hi), _clip(N, lo, hi)) is not None
-
-
-def _clip(M: FiniteModule, lo: int, hi: int) -> FiniteModule:
-    # actions stay inside the window: squares only raise degree, and rows
-    # landing above hi are cut, so every surviving route survives whole
-    if not M.validated:
-        problems = M.validate()
-        if problems:
-            raise ValueError("; ".join(problems))
-    keep = [i for i, d in enumerate(M.degrees) if lo <= d <= hi]
-    pos = {i: p for p, i in enumerate(keep)}
-    degrees = tuple(M.degrees[i] for i in keep)
-    tables: dict[int, tuple[int, ...]] = {}
-    for k, table in M.generator_tables.items():
-        rows = []
-        for i in keep:
-            row = 0
-            if M.degrees[i] + k <= hi:
-                for j in bits(table[i]):
-                    row |= 1 << pos[j]
-            rows.append(row)
-        tables[k] = tuple(rows)
-    clipped = FiniteModule(
-        f"{M.name}[{lo}..{hi}]",
-        M.algebra,
-        tuple(M.gens[i] for i in keep),
-        degrees,
-        tables,
-    )
-    problems = clipped.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
-    return clipped

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
+import re
 from functools import lru_cache
+
+import pytest
 
 from oracles import differential_rank, free_basis, oracle_ext_a1, reference_resolution
 from steen import resolution
@@ -182,6 +183,24 @@ def test_chart_svg_golden():
         "</g>\n"
         "</svg>\n"
     )
+
+
+def test_chart_draws_classes_at_negative_stems():
+    # D(joker0) lies in degrees -4..0, and d 0 g0_0 = x4' puts Ext^{0,-4} = F2
+    R = minimal_resolution(full_a(), dualize(get_module("joker0")), 3, 10)
+    C = ext_chart(R)
+    assert C.stem_min == -4
+    header, *rows = emit_chart(C, "text").decode().splitlines()
+    stems = [int(stem) for stem in header.split()]
+    assert stems == list(range(-4, 8))
+    row0 = dict(zip(stems, rows[-1].split()[1:]))
+    assert row0[-4] == "1"
+    svg = emit_chart(C, "svg").decode()
+    x0, y0, width, height = map(int, re.search(r'viewBox="([^"]+)"', svg)[1].split())
+    dots = [tuple(map(int, xy)) for xy in re.findall(r'<circle cx="(-?\d+)" cy="(-?\d+)"', svg)]
+    assert len(dots) == sum(C.ranks.values()) == 17
+    for x, y in dots:
+        assert x0 < x < x0 + width and y0 < y < y0 + height, (x, y)
 
 
 def test_sphere_text_row_marks():
