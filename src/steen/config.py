@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from steen.resolution import S_MAX_LIMIT, T_MAX_LIMIT
+from steen.resolution import S_MAX_LIMIT, window_problems
 
 __all__ = ["Config", "ENV_PREFIX", "T_MAX_DEFAULT", "config_problems", "from_env"]
 
@@ -56,11 +56,7 @@ def from_env() -> Config:
 
 def config_problems(cfg: Config) -> list[str]:
     """Guard violations, empty when the configuration is usable."""
-    problems = []
-    if not 0 <= cfg.s_max <= S_MAX_LIMIT:
-        problems.append(f"s_max must be between 0 and {S_MAX_LIMIT}, got {cfg.s_max}")
-    if not 0 <= cfg.t_max <= T_MAX_LIMIT:
-        problems.append(f"t_max must be between 0 and {T_MAX_LIMIT}, got {cfg.t_max}")
+    problems = window_problems(cfg.s_max, cfg.t_max)
     if cfg.format not in ("text", "svg"):
         problems.append(f"format must be 'text' or 'svg', got {cfg.format!r}")
     return problems

@@ -28,8 +28,8 @@ A cyclic quotient A(n) / (relations) is the cokernel of a free map: a
 `FreeMap` from the free module on the relations into A(n), whose image in
 degree d is the ideal there.  Its classes are the monomials off the pivots
 of that ideal's echelon form, the lowest bits of its elements.  A dual acts
-by chi(Sq^k), which the recurrence chi(Sq^n) = sum Sq^i chi(Sq^(n-i))
-computes on the module's own Sq^i tables.
+by chi(Sq^k), and by Milnor's closed form chi(Sq^n) is the sum of the Milnor
+basis in degree n, so chi(Sq^n) x_i is the sum of the module's `images`.
 
 Hom spaces are linear algebra: the degree-preserving maps M -> N are the
 kernel of one GF(2) system in the matrix entries, f Sq(2^e) = Sq(2^e) f.
@@ -40,9 +40,10 @@ is singular, and stops with ValueError after SEARCH_LIMIT tried sums.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from math import gcd
+from operator import xor
 from typing import NamedTuple
 
 from steen.gf2 import Echelon, bits, kernel, rank
@@ -241,6 +242,13 @@ class FiniteModule:
             out ^= self.act_mono(m, vec)
         return out
 
+    def images(self, i: int, d: int) -> list[int]:
+        """Sq(x) x_i for the degree-d monomials x that can act, in the order of
+        their base monomials x / 2^doubling; [] unless 2^doubling divides d."""
+        if d & ((1 << self.doubling) - 1):
+            return []
+        return self._action.block(i, d >> self.doubling)
+
     def _act_basis(self, mono: Monomial, i: int) -> int:
         # Sq(mono) x_i: the base acts by V^k(mono), and the rest acts as zero
         d = mono_degree(mono)
@@ -254,8 +262,7 @@ class FiniteModule:
         base = verschiebung_monomial(self.doubling, mono)
         if base is None:
             return 0
-        d >>= self.doubling
-        return self._action.block(i, d)[basis_index(self._action.algebra, d)[base]]
+        return self.images(i, d)[basis_index(self._action.algebra, d >> self.doubling)[base]]
 
     # -- validation --
 
@@ -357,30 +364,17 @@ def shift(M: FiniteModule, m: int, name: str | None = None) -> FiniteModule:
 def dualize(M: FiniteModule, name: str | None = None) -> FiniteModule:
     """The dual module: (Sq^k f)(x) = f(chi(Sq^k) x); degrees are negated.
 
-    chi(Sq^k) acts through chi(Sq^n) = sum_{i=1..n} Sq^i chi(Sq^(n-i)) on M's
-    own Sq^i tables.  Dual basis ids carry a trailing mark.  A double runs
-    the recurrence on its base, reading Sq^(2^k i) for Sq^i, since
-    conjugation commutes with the Verschiebung.
+    chi(Sq^n) is the sum of the Milnor basis in degree n (Milnor 1958), so
+    chi(Sq^(2^e)) x_j is the sum of M.images(j, 2^e), and Sq^(2^e) on the
+    dual is its transpose.  Dual basis ids carry a trailing mark.
     """
-    k = M.doubling
-    cs = [1 << e for e in M._action.algebra.generator_exponents(M.span >> k)]
-    # chi[n][j]: chi(Sq^n) of the base applied to basis element j
-    chi = [tuple(1 << j for j in range(M.dim))]
-    for n in range(1, max(cs, default=0) + 1):
-        images = [0] * M.dim
-        for i in range(1, n + 1):
-            table = M.table(i << k)
-            for j, below in enumerate(chi[n - i]):
-                for b in bits(below):
-                    images[j] ^= table[b]
-        chi.append(tuple(images))
     tables: dict[int, tuple[int, ...]] = {}
-    for c in cs:
+    for k in (1 << e for e in M.algebra.generator_exponents(M.span)):
         rows = [0] * M.dim
-        for j, image in enumerate(chi[c]):
-            for i in bits(image):
+        for j in range(M.dim):
+            for i in bits(reduce(xor, M.images(j, k), 0)):
                 rows[i] |= 1 << j
-        tables[c << k] = tuple(rows)
+        tables[k] = tuple(rows)
     return FiniteModule(
         name or f"D({M.name})",
         M.algebra,

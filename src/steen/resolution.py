@@ -57,6 +57,7 @@ __all__ = [
     "ext_chart",
     "minimal_resolution",
     "resolution_checks",
+    "window_problems",
 ]
 
 S_MAX_LIMIT = 16
@@ -153,14 +154,23 @@ class _FreeModule:
         return out
 
 
+def window_problems(s_max: int, t_max: int) -> list[str]:
+    """Guard violations of a resolution window, empty when it is accepted."""
+    problems = []
+    if not 0 <= s_max <= S_MAX_LIMIT:
+        problems.append(f"s_max must be between 0 and {S_MAX_LIMIT}, got {s_max}")
+    if not 0 <= t_max <= T_MAX_LIMIT:
+        problems.append(f"t_max must be between 0 and {T_MAX_LIMIT}, got {t_max}")
+    return problems
+
+
 def minimal_resolution(
     algebra: Algebra, M: FiniteModule, s_max: int, t_max: int
 ) -> Resolution:
     """Resolve M by free modules over the algebra, through stage s_max."""
-    if not 0 <= s_max <= S_MAX_LIMIT:
-        raise ValueError(f"s_max must be between 0 and {S_MAX_LIMIT}")
-    if not 0 <= t_max <= T_MAX_LIMIT:
-        raise ValueError(f"t_max must be between 0 and {T_MAX_LIMIT}")
+    problems = window_problems(s_max, t_max)
+    if problems:
+        raise ValueError(problems[0])
     if algebra.n is not None and M.algebra.n is None:
         M = restrict(M, algebra)
     elif algebra.n != M.algebra.n:

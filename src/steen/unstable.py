@@ -18,6 +18,9 @@ __all__ = [
 
 Exponents = tuple[int, ...]
 
+# the Wu formula of a flavour, with every degree multiplied by its scale
+_SCALE = {"real": 1, "complex": 2}
+
 
 class PolyModule:
     """A GF(2) polynomial algebra on graded generators, modulo pure powers.
@@ -39,10 +42,10 @@ class PolyModule:
         for g, d, flavor in generators:
             if d <= 0:
                 raise ValueError(f"{name}: generator {g} of degree {d}")
-            if flavor not in ("real", "complex"):
+            if flavor not in _SCALE:
                 raise ValueError(f"{name}: unknown flavor {flavor!r}")
-            if flavor == "complex" and d % 2:
-                raise ValueError(f"{name}: complex generator {g} of odd degree")
+            if d % _SCALE[flavor]:
+                raise ValueError(f"{name}: {flavor} generator {g} of odd degree")
         padded = []
         for rel in relations:
             rel = tuple(rel) + (0,) * (len(generators) - len(rel))
@@ -132,21 +135,18 @@ def _family_mono(P: PolyModule, flavor: str, j: int) -> Exponents | None:
     """The index-j class of the family, None when it is zero, the unit at 0."""
     if j == 0:
         return P.unit
-    scale = 2 if flavor == "complex" else 1
     for i, (_, d, f) in enumerate(P.generators):
-        if f == flavor and d == scale * j:
+        if f == flavor and d == _SCALE[flavor] * j:
             return P.unit[:i] + (1,) + P.unit[i + 1 :]
     return None
 
 
 def _wu_generator(P: PolyModule, r: int, gi: int) -> frozenset:
     _, dg, flavor = P.generators[gi]
-    if flavor == "complex":
-        if r % 2:
-            return frozenset()
-        rho, mu = r // 2, dg // 2
-    else:
-        rho, mu = r, dg
+    scale = _SCALE[flavor]
+    if r % scale:
+        return frozenset()
+    rho, mu = r // scale, dg // scale
     terms = [(1, rho, mu)]
     terms += [(_binom2(rho - mu, i), rho - i, mu + i) for i in range(1, rho + 1)]
     out: set[Exponents] = set()

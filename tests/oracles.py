@@ -24,7 +24,8 @@ reduced and walks every stored row instead of clearing the lowest pivot set;
 monomials instead of only a = Sq(2^e); `reference_cyclic_quotient`, which
 spans the ideal by the products Sq(b) * rel instead of the Sq(2^e)
 recurrence; `reference_dualize`, which acts by the algebra element
-chi(Sq^k) from `antipode` instead of running its recurrence on the tables;
+chi(Sq^k) from `antipode`, through the product recurrence, instead of
+summing the module's `images` by Milnor's closed form for chi(Sq^n);
 `reference_basis_count`, which convolves one slot at a time with a
 sliding window instead of reading a cached Poincare series;
 `reference_product_monomials`, which fills in each whole Milnor matrix before
@@ -846,7 +847,7 @@ def _doubling(M):
 def reference_dualize(M, name=None):
     """The dual with chi(Sq^k) built as an algebra element through `antipode`.
 
-    The package runs the recurrence for chi(Sq^k) on M's own tables instead.
+    The package sums M's images over the Milnor basis of degree k instead.
     Here M acts by its own blocks, and only a double of span above 16, whose
     blocks are too costly, is dualized through a base built here from its
     degrees and tables.

@@ -275,6 +275,13 @@ def test_frozen_antipodes():
         assert antipode(sq(k)).monomials == frozenset(expected)
 
 
+def test_antipode_of_sq_is_the_sum_of_the_milnor_basis():
+    # Milnor's closed form chi(Sq^n) = sum_{|R| = n} Sq(R), which dualize
+    # relies on; antipode reaches it through the product recurrence
+    for n in range(33):
+        assert antipode(sq(n)) == Element(milnor_basis(n)), n
+
+
 def test_antipode_involution():
     for m in monomials_up_to(16):
         el = Element([m])

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from steen.catalogue import get_module
-from steen.milnor import enumerate_basis, full_a
+from steen.milnor import basis_count, enumerate_basis, full_a
 from steen.module import double
 from steen.obstruction import (
+    _alpha_vanishes,
     admissible_pairs,
     check_hypotheses,
     format_report,
@@ -89,6 +90,26 @@ def test_n4_alpha_sweep_by_hand():
     (x1,) = M.basis_at(8)
     (x3,) = M.basis_at(24)
     assert M.act_mono((16,), 1 << x1) == 1 << x3
+
+
+def test_alpha_sweep_matches_acting_by_every_monomial():
+    # wherever A(n) and A agree in degree alpha, the sweep must say whether
+    # some Milnor monomial of A moves a class of degree phi; it says no at 14
+    # of the 470 pairs, so a sweep that always vanished would fail here
+    answers = []
+    for n in (4, 5):
+        M = get_module(f"joker({n})")
+        for alpha in range(1, 65):
+            if basis_count(full_a(), alpha) != basis_count(M.algebra, alpha):
+                continue
+            basis = enumerate_basis(full_a(), alpha)
+            for phi in sorted(M.dims()):
+                expected = not any(
+                    M.act_mono(m, 1 << i) for m in basis for i in M.basis_at(phi)
+                )
+                assert _alpha_vanishes(M, alpha, phi) == expected, (n, alpha, phi)
+                answers.append(expected)
+    assert (len(answers), answers.count(False)) == (470, 14)
 
 
 def test_every_supported_n_is_non_realizable():
