@@ -4,11 +4,13 @@ Every entry is built by a recipe (cyclic quotient, doubling, dual, extension)
 and, where a transcribed action diagram exists, cross-checked against it by
 isomorphism search.  Diagram transcriptions follow the drawing convention
 that short edges are the action of the smaller generator (Sq^1, or Sq^2 in
-doubled pictures) and long edges the larger one.
+doubled pictures) and long edges the larger one.  The joker towers are named
+by `tower_name` alone, and `_parse_tower` reads back exactly the names it prints.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from steen.milnor import an, full_a, sq
@@ -23,7 +25,7 @@ from steen.module import (
     shift,
 )
 
-__all__ = ["MODULE_NAMES", "get_module", "hand_table", "verify_catalogue"]
+__all__ = ["MODULE_NAMES", "get_module", "hand_table", "tower_name", "verify_catalogue"]
 
 MODULE_NAMES: tuple[str, ...] = (
     "joker",
@@ -53,6 +55,17 @@ MODULE_NAMES: tuple[str, ...] = (
 )
 
 
+def tower_name(n: int, eps: str = "") -> str:
+    """The joker over A(n), or with eps "0"/"1" its zero/nonzero extension."""
+    return f"joker{eps}" if n == 1 else f"joker({n}){eps}"
+
+
+def _parse_tower(name: str) -> tuple[int, str] | None:
+    """(n, eps) for a name that `tower_name` prints (n >= 2 in parentheses), else None."""
+    m = re.fullmatch(r"joker(?:\(([2-9]|[1-9][0-9]+)\))?([01]?)", name)
+    return None if m is None else (int(m[1] or 1), m[2])
+
+
 def _pick_extension(M: FiniteModule, k: int, nonzero: bool, name: str) -> FiniteModule:
     """The unique extension over the whole algebra with Sq^k zero or not."""
     found = [
@@ -78,16 +91,12 @@ def get_module(name: str) -> FiniteModule:
 def _build(name: str) -> FiniteModule:
     if name == "joker":
         return cyclic_quotient(an(1), [sq(3)], "joker")
-    if name == "joker0":
-        return _pick_extension(get_module("joker"), 4, False, name)
-    if name == "joker1":
-        return _pick_extension(get_module("joker"), 4, True, name)
-    if name.startswith("joker(") and name.endswith(")"):
-        n = int(name[6:-1])
-        return double(get_module("joker"), n - 1, name)
-    if name.startswith("joker(") and name[-1] in "01":
-        n = int(name[6:-2])
-        return double(get_module(f"joker{name[-1]}"), n - 1, name)
+    if name in ("joker0", "joker1"):
+        return _pick_extension(get_module("joker"), 4, name == "joker1", name)
+    tower = _parse_tower(name)
+    if tower is not None:  # n >= 2: every n = 1 name is handled above
+        n, eps = tower
+        return double(get_module(tower_name(1, eps)), n - 1, name)
     if name == "jokerP":
         return cyclic_quotient(an(1), [sq(2, 1)], "jokerP")
     if name == "jokerP1":
@@ -119,43 +128,20 @@ _JOKER_SQ1 = (2, 0, 0, 16, 0)
 _JOKER_SQ2 = (4, 8, 16, 0, 0)
 
 
-def _doubled_joker_tables(k: int) -> dict[int, tuple[int, ...]]:
-    return {1 << k: _JOKER_SQ1, 2 << k: _JOKER_SQ2}
-
-
-@lru_cache(maxsize=None)
 def hand_table(name: str) -> FiniteModule | None:
     """The transcribed diagram for the entry, or None when the functorial
     construction is the only source (doubles beyond n = 3, duals, tensors)."""
-    spine5 = ("x0", "x1", "x2", "x3", "x4")
-    if name in ("joker", "w2"):
-        return FiniteModule(
-            name, an(1), spine5, (0, 1, 2, 3, 4), {1: _JOKER_SQ1, 2: _JOKER_SQ2}
-        )
-    if name in ("joker0", "joker1"):
-        tables: dict[int, tuple[int, ...]] = {1: _JOKER_SQ1, 2: _JOKER_SQ2}
-        if name == "joker1":
-            tables[4] = (16, 0, 0, 0, 0)
-        return FiniteModule(name, full_a(), spine5, (0, 1, 2, 3, 4), tables)
-    if name in ("joker(2)", "joker(3)"):
-        n = int(name[6:-1])
-        deg = 1 << (n - 1)
-        return FiniteModule(
-            name,
-            an(n),
-            spine5,
-            tuple(deg * d for d in range(5)),
-            _doubled_joker_tables(n - 1),
-        )
-    if name in ("joker(2)0", "joker(2)1", "joker(3)0", "joker(3)1"):
-        n = int(name[6:-2])
-        deg = 1 << (n - 1)
-        tables = _doubled_joker_tables(n - 1)
-        if name.endswith("1"):
-            tables[4 << (n - 1)] = (16, 0, 0, 0, 0)
-        return FiniteModule(
-            name, full_a(), spine5, tuple(deg * d for d in range(5)), tables
-        )
+    tower = (1, "") if name == "w2" else _parse_tower(name)
+    if tower is not None and tower[0] <= 3:
+        # the joker spine doubled k times; joker1 adds Sq^(4 << k) bottom to top
+        n, eps = tower
+        k = n - 1
+        tables = {1 << k: _JOKER_SQ1, 2 << k: _JOKER_SQ2}
+        if eps == "1":
+            tables[4 << k] = (16, 0, 0, 0, 0)
+        algebra = full_a() if eps else an(n)
+        spine5 = ("x0", "x1", "x2", "x3", "x4")
+        return FiniteModule(name, algebra, spine5, tuple(d << k for d in range(5)), tables)
     if name in ("jokerP", "jokerP1"):
         # joker spine with a whisker at degree 3 fed by Sq^1 from degree 2;
         # the extended version also has Sq^4 from bottom to top

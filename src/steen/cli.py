@@ -20,6 +20,7 @@ from steen.modfile import load, parse_algebra, serialize
 from steen.module import FiniteModule, double, dualize, find_isomorphism, shift, tensor
 from steen.obstruction import format_report, obstruction_report, report_lines
 from steen.resolution import (
+    CHART_FORMATS,
     Resolution,
     T_MAX_LIMIT,
     dump_resolution,
@@ -59,6 +60,13 @@ def _resolution(args: argparse.Namespace, cfg: Config) -> Resolution:
 
 _TMAX_HELP = f"internal-degree bound (default {T_MAX_DEFAULT}, at most {T_MAX_LIMIT})"
 
+# the default cap (the degree of the bottom generator's cube), the two
+# extensions the quotient at that cap is compared with, and their shift
+_UNSTABLE = {
+    "bso3": (bso3, 6, "joker0", "joker1", 2),
+    "bsu3": (bsu3, 12, "joker(2)0", "joker(2)1", 4),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -87,23 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("resolve", help="minimal free resolution, as text")
-    p.add_argument("module")
-    p.add_argument("--algebra", help="A or A(n); default: the module's own")
-    p.add_argument("--smax", type=int, help="homological bound")
-    p.add_argument("--tmax", type=int, help=_TMAX_HELP)
+    # the resolution window; each flag's dest is the Config field it overrides
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("module")
+    window.add_argument("--algebra", help="A or A(n); default: the module's own")
+    window.add_argument(
+        "--smax", dest="s_max", metavar="SMAX", type=int, help="homological bound"
+    )
+    window.add_argument("--tmax", dest="t_max", metavar="TMAX", type=int, help=_TMAX_HELP)
 
-    p = sub.add_parser("chart", help="Ext chart from a minimal resolution")
-    p.add_argument("module")
-    p.add_argument("--algebra", help="A or A(n); default: the module's own")
-    p.add_argument("--smax", type=int, help="homological bound")
-    p.add_argument("--tmax", type=int, help=_TMAX_HELP)
+    sub.add_parser("resolve", parents=[window], help="minimal free resolution, as text")
+
+    p = sub.add_parser("chart", parents=[window], help="Ext chart from a minimal resolution")
     p.add_argument("--out", help="write under output_dir instead of stdout")
-    p.add_argument("--format", choices=("text", "svg"))
+    p.add_argument("--format", choices=CHART_FORMATS)
 
     p = sub.add_parser("unstable", help="truncated characteristic-class quotient")
-    p.add_argument("space", choices=("bso3", "bsu3"))
-    p.add_argument("--cap", type=int, help="degree cap (default 6 or 12)")
+    p.add_argument("space", choices=_UNSTABLE)
+    caps = " or ".join(str(entry[1]) for entry in _UNSTABLE.values())
+    p.add_argument("--cap", type=int, help=f"degree cap (default {caps})")
 
     p = sub.add_parser("obstruction", help="non-realizability report for a tower")
     p.add_argument("n", type=int)
@@ -115,18 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args: argparse.Namespace) -> Config:
-    cfg = from_env()
-    overrides = {}
-    if args.output_dir is not None:
-        overrides["output_dir"] = args.output_dir
-    if getattr(args, "smax", None) is not None:
-        overrides["s_max"] = args.smax
-    if getattr(args, "tmax", None) is not None:
-        overrides["t_max"] = args.tmax
-    if getattr(args, "format", None) is not None:
-        overrides["format"] = args.format
-    if overrides:
-        cfg = cfg._replace(**overrides)
+    flags = {k: v for k, v in vars(args).items() if k in Config._fields and v is not None}
+    cfg = from_env()._replace(**flags)
     problems = config_problems(cfg)
     if problems:
         raise UsageError("; ".join(problems))
@@ -172,14 +172,6 @@ def _cmd_chart(args: argparse.Namespace, cfg: Config) -> int:
     else:
         sys.stdout.write(data.decode())
     return 0
-
-
-# the default cap (the degree of the bottom generator's cube), the two
-# extensions the quotient at that cap is compared with, and their shift
-_UNSTABLE = {
-    "bso3": (bso3, 6, "joker0", "joker1", 2),
-    "bsu3": (bsu3, 12, "joker(2)0", "joker(2)1", 4),
-}
 
 
 def _cmd_unstable(args: argparse.Namespace) -> int:

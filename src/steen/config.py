@@ -4,7 +4,8 @@ The default s_max sits at the resolver's guard S_MAX_LIMIT.  The default
 t_max is T_MAX_DEFAULT, below the guard T_MAX_LIMIT, so a chart drawn with
 the defaults keeps its range when the guard moves.  Environment variables
 with the STEEN_ prefix override the defaults and explicit flags override the
-environment.
+environment.  Both share the `Config` field names: STEEN_S_MAX and --smax
+both land in `s_max`, so the CLI lays its flags over the environment by name.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from steen.resolution import S_MAX_LIMIT, window_problems
+from steen.resolution import CHART_FORMATS, S_MAX_LIMIT, window_problems
 
 __all__ = ["Config", "ENV_PREFIX", "T_MAX_DEFAULT", "config_problems", "from_env"]
 
 ENV_PREFIX = "STEEN_"
 T_MAX_DEFAULT = 40
-
-_INT_FIELDS = frozenset({"s_max", "t_max"})
 
 
 class Config(NamedTuple):
@@ -39,16 +38,15 @@ def from_env() -> Config:
             raise ValueError(f"{key}: unknown setting; known: {', '.join(sorted(known))}")
     updates: dict[str, object] = {}
     for name in Config._fields:
-        raw = os.environ.get(ENV_PREFIX + name.upper())
+        key = ENV_PREFIX + name.upper()
+        raw = os.environ.get(key)
         if raw is None:
             continue
-        if name in _INT_FIELDS:
+        if isinstance(Config._field_defaults[name], int):
             try:
                 updates[name] = int(raw)
             except ValueError:
-                raise ValueError(
-                    f"{ENV_PREFIX}{name.upper()}: expected an integer, got {raw!r}"
-                ) from None
+                raise ValueError(f"{key}: expected an integer, got {raw!r}") from None
         else:
             updates[name] = raw
     return Config(**updates)
@@ -57,6 +55,7 @@ def from_env() -> Config:
 def config_problems(cfg: Config) -> list[str]:
     """Guard violations, empty when the configuration is usable."""
     problems = window_problems(cfg.s_max, cfg.t_max)
-    if cfg.format not in ("text", "svg"):
-        problems.append(f"format must be 'text' or 'svg', got {cfg.format!r}")
+    if cfg.format not in CHART_FORMATS:
+        choices = " or ".join(map(repr, CHART_FORMATS))
+        problems.append(f"format must be {choices}, got {cfg.format!r}")
     return problems

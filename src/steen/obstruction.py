@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from steen.catalogue import get_module
+from steen.catalogue import get_module, tower_name
 from steen.milnor import basis_count, full_a
 from steen.module import FiniteModule
 
@@ -72,7 +72,7 @@ def check_hypotheses(n: int) -> tuple[HypothesisCheck, ...]:
         )
     if n > N_LIMIT:
         raise ValueError(f"n = {n} beyond the supported bound {N_LIMIT}")
-    M = get_module(f"joker({n})")
+    M = get_module(tower_name(n))
     u_degree = 1 << (n - 1)
     u = 1 << M.basis_at(u_degree)[0]
     checks = []
@@ -97,7 +97,7 @@ def _alpha_vanishes(M: FiniteModule, alpha_degree: int, phi_degree: int) -> bool
 def obstruction_report(n: int) -> ObstructionReport:
     """Check every factorization summand against the degree-2^{n-1} class."""
     hypothesis = check_hypotheses(n)
-    M = get_module(f"joker({n})")
+    M = get_module(tower_name(n))
     k = n - 1
     u_degree = 1 << (n - 1)
     terms = []
@@ -141,7 +141,7 @@ def report_lines(report: ObstructionReport) -> list[str]:
 
 def format_report(report: ObstructionReport) -> str:
     lines = [
-        f"joker({report.n}) tower: class u in degree {report.u_degree}, k = {report.k}",
+        f"{tower_name(report.n)} tower: class u in degree {report.u_degree}, k = {report.k}",
         "hypothesis Sq^(2^r) u = 0:",
     ]
     for h in report.hypothesis_checks:

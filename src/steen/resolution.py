@@ -31,7 +31,7 @@ product-by-product construction.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 # kernel is unused here but stays bound: bench/tracer.py wraps it by this name
 from steen.gf2 import Echelon, bits, kernel
@@ -48,6 +48,7 @@ from steen.milnor import (
 from steen.module import FiniteModule, restrict
 
 __all__ = [
+    "CHART_FORMATS",
     "ExtChart",
     "Resolution",
     "S_MAX_LIMIT",
@@ -318,12 +319,14 @@ def _chart_svg(C: ExtChart) -> str:
     return "\n".join(out) + "\n"
 
 
+# the one list of chart formats, read by --format and the STEEN_FORMAT check too
+CHART_FORMATS: dict[str, Callable[[ExtChart], str]] = {"text": _chart_text, "svg": _chart_svg}
+
+
 def emit_chart(C: ExtChart, format: str = "text") -> bytes:
-    if format == "text":
-        return _chart_text(C).encode()
-    if format == "svg":
-        return _chart_svg(C).encode()
-    raise ValueError(f"unknown chart format {format!r}")
+    if format not in CHART_FORMATS:
+        raise ValueError(f"unknown chart format {format!r}")
+    return CHART_FORMATS[format](C).encode()
 
 
 def dump_resolution(R: Resolution) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from steen.catalogue import get_module, verify_catalogue
+from steen.catalogue import get_module, tower_name, verify_catalogue
 from steen.gf2 import bits
 from steen.milnor import (
     Element,
@@ -92,13 +92,8 @@ def _sphere_resolution() -> Resolution:
 
 @lru_cache(maxsize=None)
 def _presentation_resolution(n: int) -> Resolution:
-    name = "joker" if n == 1 else f"joker({n})"
     top = {1: 3, 2: 6, 3: 12}[n]
-    return minimal_resolution(an(n), get_module(name), 1, 2 * top + 2)
-
-
-def _tower(n: int, eps: int) -> str:
-    return f"joker{eps}" if n == 1 else f"joker({n}){eps}"
+    return minimal_resolution(an(n), get_module(tower_name(n)), 1, 2 * top + 2)
 
 
 # -- the criteria ---------------------------------------------------------------
@@ -119,8 +114,8 @@ def _antipode_identities() -> str:
 def _joker_duality() -> str:
     for n in (1, 2, 3):
         span = 1 << (n + 1)
-        low = get_module(_tower(n, 0))
-        high = get_module(_tower(n, 1))
+        low = get_module(tower_name(n, "0"))
+        high = get_module(tower_name(n, "1"))
         iso = find_isomorphism(shift(dualize(low), span), high)
         assert iso is not None, f"dual comparison fails for n = {n}"
     assert find_isomorphism(get_module("joker0"), get_module("joker1")) is None

@@ -10,7 +10,7 @@ package primitives that only the tests need (`verschiebung` over
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
-module maps), and eleven reference routes: the resolver,
+module maps), and twelve reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
 `reference_tables`, which reads a double's tables from its own blocks
@@ -29,9 +29,12 @@ summing the module's `images` by Milnor's closed form for chi(Sq^n);
 `reference_basis_count`, which convolves one slot at a time with a
 sliding window instead of reading a cached Poincare series;
 `reference_product_monomials`, which fills in each whole Milnor matrix before
-testing its anti-diagonals instead of pruning entry by entry; and
+testing its anti-diagonals instead of pruning entry by entry;
 `reference_associativity_triples`, which compares (xy)z and x(yz) one
-triple at a time instead of packing every z into one int.
+triple at a time instead of packing every z into one int; and `lambda_ext`,
+which reads the sphere's Ext over A as the homology of the lambda algebra
+(Bousfield, Curtis, Kan, Quillen, Rector and Schlesinger, Topology 5, 1966)
+instead of resolving F2, and calls no package code at all.
 """
 
 from __future__ import annotations
@@ -321,6 +324,67 @@ def _bar_rank(s: int, t: int) -> int:
 def oracle_ext_a1(s: int, t: int) -> int:
     """dim Ext^{s,t} over A(1) from the reduced bar complex."""
     return len(_bar_basis(s, t)) - _bar_rank(s, t) - _bar_rank(s + 1, t)
+
+
+# -- the lambda algebra ---------------------------------------------------------
+# Words are tuples of lambda indices; lambda_i sits in (s, stem) = (1, i), and a
+# word is admissible when 2 i_k >= i_(k+1) for each neighbouring pair.
+
+
+def _lambda_words(s: int, stem: int, bound: int) -> list[tuple[int, ...]]:
+    """Admissible words of length s and stem sum whose first index is <= bound."""
+    if s <= 0:
+        return [()] if s == 0 and stem == 0 else []
+    return [
+        (i,) + rest
+        for i in range(min(stem, bound) + 1)
+        for rest in _lambda_words(s - 1, stem - i, 2 * i)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _lambda_basis(s: int, stem: int) -> dict[tuple[int, ...], int]:
+    return {word: k for k, word in enumerate(_lambda_words(s, stem, stem))}
+
+
+@lru_cache(maxsize=None)
+def _lambda_admissible(word: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Rewrite a word into admissible words, leftmost bad pair first, by
+    lambda_i lambda_(2i+1+n) = sum_j C(n-j-1, j) lambda_(i+n-j) lambda_(2i+1+j)."""
+    for k in range(len(word) - 1):
+        i, m = word[k], word[k + 1]
+        if 2 * i < m:
+            n = m - 2 * i - 1
+            out: frozenset[tuple[int, ...]] = frozenset()
+            for j in range((n + 1) // 2):
+                if binom2(n - j - 1, j):
+                    pair = (i + n - j, 2 * i + 1 + j)
+                    out ^= _lambda_admissible(word[:k] + pair + word[k + 2:])
+            return out
+    return frozenset({word})
+
+
+@lru_cache(maxsize=None)
+def _lambda_d_rank(s: int, stem: int) -> int:
+    """Rank of d from (s, stem) to (s + 1, stem - 1), where
+    d lambda_n = sum_(j>=1) C(n-j, j) lambda_(n-j) lambda_(j-1), a derivation."""
+    target = _lambda_basis(s + 1, stem - 1)
+    rows = []
+    for word in _lambda_basis(s, stem):
+        vec = 0
+        for k, n in enumerate(word):
+            for j in range(1, n // 2 + 1):
+                if binom2(n - j, j):
+                    for image in _lambda_admissible(word[:k] + (n - j, j - 1) + word[k + 1:]):
+                        vec ^= 1 << target[image]
+        rows.append(vec)
+    return reference_rank(rows)
+
+
+def lambda_ext(s: int, stem: int) -> int:
+    """dim Ext_A^(s, s+stem)(F2, F2) as the homology of the lambda algebra."""
+    cycles = len(_lambda_basis(s, stem)) - _lambda_d_rank(s, stem)
+    return cycles - _lambda_d_rank(s - 1, stem + 1)
 
 
 def oracle_wu_bso3(r: int, m: int) -> frozenset[tuple[int, int]]:

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from steen.catalogue import MODULE_NAMES, get_module, verify_catalogue
-from steen.milnor import antipode, sq, sq_word
+from steen.catalogue import MODULE_NAMES, _parse_tower, get_module, tower_name, verify_catalogue
+from steen.milnor import an, antipode, sq, sq_word
 from steen.modfile import parse, serialize
 from steen.module import coaction, dualize, find_isomorphism, restrict, shift
 from steen.dual import poly_mul, poly_pow, zeta_in_xi
@@ -39,6 +39,29 @@ def test_every_entry_verifies():
 def test_unknown_name_is_rejected():
     with pytest.raises(KeyError):
         get_module("jokers")
+
+
+def test_tower_names_round_trip():
+    towers = [name for name in MODULE_NAMES if _parse_tower(name) is not None]
+    assert len(towers) == 14
+    assert [tower_name(*_parse_tower(name)) for name in towers] == towers
+    assert [name for name in MODULE_NAMES if name not in towers] == [
+        "jokerP", "jokerP1", "jokerPP1", "joker2P1", "joker2PP1", "w0", "w1", "w2", "w4", "a1"
+    ]
+
+
+@pytest.mark.parametrize("name", ["joker(1)", "joker(02)", "joker(0)", "joker(x)", "joker(2)2"])
+def test_non_canonical_tower_names_are_unknown(name):
+    assert _parse_tower(name) is None
+    with pytest.raises(KeyError, match="unknown catalogue module"):
+        get_module(name)
+
+
+def test_an_unlisted_canonical_tower_still_builds():
+    M = get_module("joker(12)")
+    assert "joker(12)" not in MODULE_NAMES
+    assert (M.name, M.algebra, M.doubling) == ("joker(12)", an(12), 11)
+    assert M.degrees == tuple(d << 11 for d in range(5))
 
 
 def test_basic_shapes():

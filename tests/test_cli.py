@@ -516,6 +516,29 @@ def test_config_env_overrides_and_guards(monkeypatch):
     assert any("format" in p for p in config_problems(Config(format="png")))
 
 
+def test_a_bad_format_setting_names_the_chart_formats(monkeypatch, capsys):
+    monkeypatch.setenv("STEEN_FORMAT", "png")
+    assert main(["chart", "joker"]) == 2
+    assert capsys.readouterr().err == "steen: format must be 'text' or 'svg', got 'png'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, choices",
+    [
+        (["chart", "joker", "--format", "png"], ["text", "svg"]),
+        (["unstable", "bso4"], ["bso3", "bsu3"]),
+    ],
+)
+def test_an_invalid_choice_lists_the_choices(capsys, argv, choices):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"invalid choice: {argv[-1]!r}" in last
+    listed = last.split("choose from ")[1].rstrip(")")
+    assert [c.strip("'") for c in listed.split(", ")] == choices
+
+
 @pytest.mark.parametrize(
     "command, expected",
     [("validate", "gap: ok"), ("show", "gen y 1000000000000"), ("dual", "gen y' -1000000000000")],

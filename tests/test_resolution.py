@@ -7,7 +7,13 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import differential_rank, free_basis, oracle_ext_a1, reference_resolution
+from oracles import (
+    differential_rank,
+    free_basis,
+    lambda_ext,
+    oracle_ext_a1,
+    reference_resolution,
+)
 from steen import resolution
 from steen.catalogue import get_module
 from steen.milnor import Element, an, full_a
@@ -111,6 +117,16 @@ def test_a1_sphere_matches_bar_oracle():
     for s in range(7):
         for t in range(s + 9):
             assert R.rank(s, t) == oracle_ext_a1(s, t), (s, t)
+
+
+@pytest.mark.parametrize(
+    "s_max, stem_max", [(6, 15), (5, 20), pytest.param(7, 20, marks=pytest.mark.slow)]
+)
+def test_sphere_matches_the_lambda_algebra(s_max, stem_max):
+    R = minimal_resolution(full_a(), sphere(full_a()), s_max, s_max + stem_max)
+    for s in range(s_max + 1):
+        for stem in range(stem_max + 1):
+            assert R.rank(s, s + stem) == lambda_ext(s, stem), (s, stem)
 
 
 def test_a1_sphere_is_the_ko_pattern():
@@ -224,7 +240,7 @@ def test_empty_chart_is_header_only():
 
 def test_unknown_format_rejected():
     R = minimal_resolution(an(1), get_module("joker"), 1, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown chart format 'png'$"):
         emit_chart(ext_chart(R), "png")
 
 
