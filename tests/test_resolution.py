@@ -104,6 +104,40 @@ def test_differentials_compose_to_zero():
         assert resolution_checks(R) == []
 
 
+def _copy(R):
+    C = resolution.Resolution(R.algebra, R.module, R.s_max, R.t_max)
+    C.degrees = [list(stage) for stage in R.degrees]
+    C.values = [list(stage) for stage in R.values]
+    return C
+
+
+def test_resolution_checks_report_edited_differentials():
+    """Edits of one stored differential of joker over A(1) are reported.
+
+    Not every edit is: flipping bit 1 of d_1(g1_0) zeroes it, and d∘d = 0
+    and minimality both still hold.  That gap is the exactness check of
+    ROADMAP item 7, so it is left unasserted here.
+    """
+    R = minimal_resolution(an(1), get_module("joker"), 4, 14)
+
+    C = _copy(R)
+    C.values[1][0] ^= 1
+    assert resolution_checks(C) == [
+        "d0 d1 g1_0 is nonzero in joker",
+        "d1 d2 g2_0 hits g0_0",
+    ]
+
+    C = _copy(R)
+    C.values[2][0] ^= 1
+    assert resolution_checks(C) == ["d2 d3 g3_1 hits g1_0"]
+
+    # a stage-2 generator in the degree of g1_0, valued at its unit term
+    C = _copy(R)
+    C.degrees[2].insert(0, R.degrees[1][0])
+    C.values[2].insert(0, 1)
+    assert resolution_checks(C)[0] == "d 2 g2_0: unit coefficient on g1_0"
+
+
 def test_rank_stability():
     small = minimal_resolution(an(1), sphere(an(1)), 5, 10)
     large = minimal_resolution(an(1), sphere(an(1)), 5, 14)
