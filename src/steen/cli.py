@@ -69,6 +69,7 @@ _UNSTABLE = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The steen parser: each command sets `run(args, cfg)`, its handler."""
     parser = argparse.ArgumentParser(
         prog="steen",
         description="modules over the mod-2 Steenrod algebra and its subalgebras",
@@ -76,24 +77,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", help="directory for file outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="catalogue module names")
+    sub.add_parser("list", help="catalogue module names").set_defaults(run=_cmd_list)
 
     p = sub.add_parser("show", help="print a module table")
     p.add_argument("module")
+    p.set_defaults(run=lambda args, cfg: _show(_load_module(args.module)))
 
     p = sub.add_parser("validate", help="check a module-definition file")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("dual", help="dualize a module")
     p.add_argument("module")
+    p.set_defaults(run=lambda args, cfg: _show(dualize(_load_module(args.module))))
 
     p = sub.add_parser("double", help="apply the degree-doubling functor")
     p.add_argument("module")
     p.add_argument("k", type=int)
+    p.set_defaults(run=lambda args, cfg: _show(double(_load_module(args.module), args.k)))
 
     p = sub.add_parser("tensor", help="tensor two modules")
     p.add_argument("left")
     p.add_argument("right")
+    p.set_defaults(
+        run=lambda args, cfg: _show(tensor(_load_module(args.left), _load_module(args.right)))
+    )
 
     # the resolution window; each flag's dest is the Config field it overrides
     window = argparse.ArgumentParser(add_help=False)
@@ -104,22 +112,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     window.add_argument("--tmax", dest="t_max", metavar="TMAX", type=int, help=_TMAX_HELP)
 
-    sub.add_parser("resolve", parents=[window], help="minimal free resolution, as text")
+    p = sub.add_parser("resolve", parents=[window], help="minimal free resolution, as text")
+    p.set_defaults(run=_cmd_resolve)
 
     p = sub.add_parser("chart", parents=[window], help="Ext chart from a minimal resolution")
     p.add_argument("--out", help="write under output_dir instead of stdout")
     p.add_argument("--format", choices=CHART_FORMATS)
+    p.set_defaults(run=_cmd_chart)
 
     p = sub.add_parser("unstable", help="truncated characteristic-class quotient")
     p.add_argument("space", choices=_UNSTABLE)
     caps = " or ".join(str(entry[1]) for entry in _UNSTABLE.values())
     p.add_argument("--cap", type=int, help=f"degree cap (default {caps})")
+    p.set_defaults(run=_cmd_unstable)
 
     p = sub.add_parser("obstruction", help="non-realizability report for a tower")
     p.add_argument("n", type=int)
+    p.set_defaults(run=_cmd_obstruction)
 
     p = sub.add_parser("verify-suite", help="run the acceptance ledger")
     p.add_argument("suite", choices=("paper",))
+    p.set_defaults(run=lambda args, cfg: 0 if run_all(print) else 1)
 
     return parser
 
@@ -133,13 +146,18 @@ def _configure(args: argparse.Namespace) -> Config:
     return cfg
 
 
-def _cmd_list() -> int:
+def _show(M: FiniteModule) -> int:
+    print(serialize(M), end="")
+    return 0
+
+
+def _cmd_list(args: argparse.Namespace, cfg: Config) -> int:
     for name in MODULE_NAMES:
         print(name)
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace, cfg: Config) -> int:
     path = Path(args.file)
     if not args.file or not path.exists():
         raise UsageError(f"no such file: {args.file}")
@@ -174,7 +192,7 @@ def _cmd_chart(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def _cmd_unstable(args: argparse.Namespace) -> int:
+def _cmd_unstable(args: argparse.Namespace, cfg: Config) -> int:
     build, default_cap, zero_name, one_name, span = _UNSTABLE[args.space]
     cap = args.cap if args.cap is not None else default_cap
     Q = truncate_quotient(build().with_relations((3, 0)), full_a(), cap)
@@ -186,7 +204,7 @@ def _cmd_unstable(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obstruction(args: argparse.Namespace) -> int:
+def _cmd_obstruction(args: argparse.Namespace, cfg: Config) -> int:
     report = obstruction_report(args.n)
     print(format_report(report))
     print()
@@ -199,34 +217,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _configure(args)
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "show":
-            print(serialize(_load_module(args.module)), end="")
-            return 0
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "dual":
-            print(serialize(dualize(_load_module(args.module))), end="")
-            return 0
-        if args.command == "double":
-            print(serialize(double(_load_module(args.module), args.k)), end="")
-            return 0
-        if args.command == "tensor":
-            print(serialize(tensor(_load_module(args.left), _load_module(args.right))), end="")
-            return 0
-        if args.command == "resolve":
-            return _cmd_resolve(args, cfg)
-        if args.command == "chart":
-            return _cmd_chart(args, cfg)
-        if args.command == "unstable":
-            return _cmd_unstable(args)
-        if args.command == "obstruction":
-            return _cmd_obstruction(args)
-        if args.command == "verify-suite":
-            return 0 if run_all(print) else 1
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args, _configure(args))
     except (UsageError, ValueError) as exc:
         print(f"steen: {exc}", file=sys.stderr)
         return 2

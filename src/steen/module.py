@@ -47,7 +47,7 @@ from operator import xor
 from typing import NamedTuple
 
 from steen.gf2 import Echelon, bits, kernel, rank
-# milnor_product is unused here but stays bound: bench/tracer.py wraps it by this name
+# milnor_product stays bound, unused: bench/tests/test_bench.py asserts the tracer wraps it
 from steen.milnor import (
     DEGREE_CAP,
     Algebra,
@@ -319,6 +319,7 @@ class FiniteModule:
         span = self.span >> k
         for e in base.generator_exponents(span):
             step = 1 << e
+            table = self._generators.get(step << k, self._zeros)  # rho(Sq(2^e))
             for db in range(1, span - step + 1):
                 basis = enumerate_basis(base, db)
                 if not basis:
@@ -328,11 +329,10 @@ class FiniteModule:
                 # block(i, d)[p] is x x_i for the p-th degree-d monomial x
                 for pos, (b, kb) in enumerate(zip(basis, columns)):
                     for i in rows:
-                        rhs = self.act_mono((step << k,), self._action.block(i, db)[pos])
                         upper = self._action.block(i, db + step)
-                        lhs = 0
-                        for p in bits(kb):
-                            lhs ^= upper[p]
+                        lhs = reduce(xor, (upper[p] for p in bits(kb)), 0)
+                        below = self._action.block(i, db)[pos]
+                        rhs = reduce(xor, (table[p] for p in bits(below)), 0)
                         if lhs != rhs:
                             own = mono_str(tuple(r << k for r in b))
                             problems.append(
@@ -442,8 +442,7 @@ def tensor(M: FiniteModule, N: FiniteModule, name: str | None = None) -> FiniteM
                     left = (1 << i) if a == 0 else M.table(a)[i]
                     right = (1 << j) if a == k else N.table(k - a)[j]
                     for p in bits(left):
-                        for q in bits(right):
-                            out ^= 1 << (p * dim_n + q)
+                        out ^= right << (p * dim_n)
                 rows[i * dim_n + j] = out
         tables[k] = tuple(rows)
     return FiniteModule(name or f"{M.name}(x){N.name}", M.algebra, gens, degrees, tables)

@@ -18,7 +18,7 @@ last in block order and are independent of the columns before them.  The
 candidates at (s, t) are the cycles of stage s-1, and at stage 0 the unit
 vectors of the module in degree t; each candidate outside the span so far
 becomes a generator, valued at its unit vector at stage 0 and its residual
-after; these bitsets are decoded only for dumps, charts and checks.  The
+after; `Resolution.terms` decodes them for dumps, charts and checks.  The
 echelon never back-substitutes; its residuals, combos and pivots depend only
 on the row space.
 
@@ -31,15 +31,16 @@ product-by-product construction.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-# kernel is unused here but stays bound: bench/tracer.py wraps it by this name
+# kernel stays bound, unused: bench/tests/test_bench.py asserts the tracer wraps it
 from steen.gf2 import Echelon, bits, kernel
 from steen.milnor import (
     DEGREE_CAP,
     Algebra,
     Element,
     FreeMap,
+    Monomial,
     enumerate_basis,
     generator_matrix,
     milnor_product,
@@ -64,9 +65,6 @@ __all__ = [
 S_MAX_LIMIT = 16
 T_MAX_LIMIT = DEGREE_CAP
 
-# free-module entries: target generator index -> element of the algebra
-Entry = dict[int, Element]
-
 
 class Resolution:
     """A minimal free resolution, stage -1 being the module itself."""
@@ -81,13 +79,15 @@ class Resolution:
         self.values: list[list[int]] = []
 
     @cached_property
-    def diffs(self) -> list[list[Entry]]:
-        """values decoded to generator index -> algebra element; stage 0 is empty."""
-        out: list[list[Entry]] = [[]]
-        for below, degrees, values in zip(self.degrees, self.degrees[1:], self.values[1:]):
-            source = _FreeModule(self.algebra, below)
-            out.append([source.element(t, v) for t, v in zip(degrees, values)])
-        return out
+    def _free(self) -> list[_FreeModule]:
+        """C_s for each stage s: the block order of d_(s+1)'s bitsets."""
+        return [_FreeModule(self.algebra, degrees) for degrees in self.degrees]
+
+    def terms(self, s: int, a: int) -> Iterator[tuple[int, Monomial]]:
+        """The terms Sq(x) g_(s-1),j of d_s(g_a), s >= 1, as pairs (j, x) in block order."""
+        if s < 1:
+            raise ValueError(f"d_{s} has no terms: s must be at least 1")
+        return self._free[s - 1].terms(self.degrees[s][a], self.values[s][a])
 
     def rank(self, s: int, t: int) -> int:
         if not 0 <= s < len(self.degrees):
@@ -144,15 +144,13 @@ class _FreeModule:
             self._matrices[(e, u)] = hit
         return hit
 
-    def element(self, u: int, vec: int) -> Entry:
-        """A degree-u bitset as generator index -> algebra element."""
-        offsets, out = self.offsets(u), {}
+    def terms(self, u: int, vec: int) -> Iterator[tuple[int, Monomial]]:
+        """A degree-u bitset as pairs (generator index, monomial), in block order."""
+        offsets = self.offsets(u)
         for j, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            block = (vec >> lo) & ((1 << (hi - lo)) - 1)
-            if block:
-                basis = enumerate_basis(self.algebra, u - self.degrees[j])
-                out[j] = Element.from_set(frozenset(basis[i] for i in bits(block)))
-        return out
+            basis = enumerate_basis(self.algebra, u - self.degrees[j])
+            for i in bits((vec >> lo) & ((1 << (hi - lo)) - 1)):
+                yield j, basis[i]
 
 
 def window_problems(s_max: int, t_max: int) -> list[str]:
@@ -214,28 +212,34 @@ def minimal_resolution(
 def resolution_checks(R: Resolution) -> list[str]:
     """Verify d*d = 0 and minimality; empty list means the resolution is valid."""
     problems = []
+    below: list[dict[int, Element]] = []
     for s in range(1, len(R.degrees)):
-        for a, entry in enumerate(R.diffs[s]):
-            for j, e in entry.items():
-                if () in e.monomials:
+        diffs = []  # d_s(g_a) as target generator index -> algebra element
+        for a in range(len(R.degrees[s])):
+            entry: dict[int, set] = {}
+            for j, x in R.terms(s, a):
+                if x == ():
                     problems.append(f"d {s} g{s}_{a}: unit coefficient on g{s-1}_{j}")
+                entry.setdefault(j, set()).add(x)
+            diffs.append({j: Element.from_set(frozenset(xs)) for j, xs in entry.items()})
         if s == 1:
-            for a, entry in enumerate(R.diffs[1]):
+            for a, entry in enumerate(diffs):
                 vec = 0
                 for j, e in entry.items():
                     vec ^= R.module.act(e, R.values[0][j])
                 if vec:
                     problems.append(f"d0 d1 g1_{a} is nonzero in {R.module.name}")
         else:
-            for a, entry in enumerate(R.diffs[s]):
+            for a, entry in enumerate(diffs):
                 acc: dict[int, Element] = {}
                 for j, e in entry.items():
-                    for j2, e2 in R.diffs[s - 1][j].items():
+                    for j2, e2 in below[j].items():
                         prod = milnor_product(e, e2)
                         acc[j2] = acc.get(j2, Element()) + prod
                 for j2, total in acc.items():
                     if total:
                         problems.append(f"d{s-1} d{s} g{s}_{a} hits g{s-2}_{j2}")
+        below = diffs
     return problems
 
 
@@ -259,11 +263,10 @@ def ext_chart(R: Resolution) -> ExtChart:
             ranks[(s, t)] = ranks.get((s, t), 0) + 1
     lines = []
     for s in range(1, len(R.degrees)):
-        for a, entry in enumerate(R.diffs[s]):
-            for j, e in entry.items():
-                for i in range(4):
-                    if ((1 << i),) in e.monomials:
-                        lines.append((i, R.dot(s - 1, j), R.dot(s, a)))
+        for a in range(len(R.degrees[s])):
+            for j, x in R.terms(s, a):
+                if x in ((1,), (2,), (4,), (8,)):  # Sq(2^i) draws an h_i line
+                    lines.append((x[0].bit_length() - 1, R.dot(s - 1, j), R.dot(s, a)))
     lines.sort()
     return ExtChart(ranks, lines, (R.s_max, R.t_max), min(0, R.module.bottom))
 
@@ -336,11 +339,7 @@ def dump_resolution(R: Resolution) -> str:
         targets = " + ".join(R.module.gens[i] for i in bits(value))
         lines.append(f"d 0 g0_{j} = {targets}")
     for s in range(1, len(R.degrees)):
-        for a, entry in enumerate(R.diffs[s]):
-            terms = [
-                f"{mono_str(m)} g{s-1}_{j}"
-                for j in sorted(entry)
-                for m in sorted(entry[j].monomials)
-            ]
-            lines.append(f"d {s} g{s}_{a} = " + " + ".join(terms))
+        for a in range(len(R.degrees[s])):
+            terms = " + ".join(f"{mono_str(x)} g{s-1}_{j}" for j, x in R.terms(s, a))
+            lines.append(f"d {s} g{s}_{a} = {terms}")
     return "\n".join(lines) + "\n" if lines else ""

@@ -1045,6 +1045,22 @@ def reference_resolution(algebra, M, s_max, t_max):
     return res
 
 
+def reference_terms(ref):
+    """reference_resolution's differentials for s >= 1, each as its
+    (generator index, monomial) terms in block order."""
+    return [
+        [[(j, x) for j in sorted(entry) for x in sorted(entry[j].monomials)] for entry in stage]
+        for stage in ref.diffs[1:]
+    ]
+
+
+def stage_terms(R):
+    """A resolution's differentials for s >= 1, each as the list R.terms gives."""
+    return [
+        [list(R.terms(s, a)) for a in range(len(R.degrees[s]))] for s in range(1, len(R.degrees))
+    ]
+
+
 def free_basis(R, s, t):
     """(generator, monomial) pairs spanning stage s of R in degree t."""
     return [
@@ -1065,11 +1081,11 @@ def differential_rank(R, s, t):
             rows.append(R.module.act(sq(*m), R.values[0][j]))
         return reference_rank(rows)
     pos = {c: i for i, c in enumerate(free_basis(R, s - 1, t))}
-    diffs = R.diffs[s]
+    terms = [list(R.terms(s, a)) for a in range(len(R.degrees[s]))]
     for a, m in free_basis(R, s, t):
         vec = 0
-        for j, e in diffs[a].items():
-            for mm in milnor_product(sq(*m), e).monomials:
+        for j, x in terms[a]:
+            for mm in milnor_product(sq(*m), sq(*x)).monomials:
                 vec ^= 1 << pos[(j, mm)]
         rows.append(vec)
     return reference_rank(rows)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from steen.cli import main
+from steen import cli
+from steen.cli import build_parser, main
 from steen.config import Config, config_problems, from_env
 
 
@@ -502,10 +506,38 @@ def test_verify_suite_rejects_unknown_suite():
     assert exc.value.code == 2
 
 
-def test_missing_subcommand_is_a_usage_error():
+def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "steen: error: the following arguments are required: command"
+
+
+def test_every_command_sets_its_handler():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 11
+    for name, command in sub.choices.items():
+        # the smallest argv: each positional gets its first choice, or "1"
+        argv = [name] + [
+            next(iter(a.choices)) if a.choices else "1"
+            for a in command._actions
+            if not a.option_strings
+        ]
+        assert callable(parser.parse_args(argv).run), name
+
+
+def test_main_does_not_branch_on_the_command():
+    tree = ast.parse(inspect.getsource(cli.main))
+    branches = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for side in ast.walk(node)
+        if isinstance(side, ast.Attribute) and side.attr == "command"
+    ]
+    assert branches == []
 
 
 def test_config_env_overrides_and_guards(monkeypatch):

@@ -18,6 +18,8 @@ from oracles import (
     reference_problems,
     reference_resolution,
     reference_tables,
+    reference_terms,
+    stage_terms,
 )
 from steen import milnor, module
 from steen.catalogue import MODULE_NAMES, get_module
@@ -233,7 +235,7 @@ def test_random_duals_homs_and_resolutions_agree_across_routes(pair):
     R = minimal_resolution(algebra, M, 3, t_max)
     ref = reference_resolution(algebra, M, 3, t_max)
     assert (R.degrees, R.values) == (ref.degrees, ref.values)
-    assert R.diffs == ref.diffs
+    assert stage_terms(R) == reference_terms(ref)
 
 
 def test_dualize_matches_the_antipode_route():

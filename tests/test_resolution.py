@@ -13,6 +13,8 @@ from oracles import (
     lambda_ext,
     oracle_ext_a1,
     reference_resolution,
+    reference_terms,
+    stage_terms,
 )
 from steen import resolution
 from steen.catalogue import get_module
@@ -290,10 +292,14 @@ def test_dump_format():
 
 def test_minimality_no_unit_entries():
     R = minimal_resolution(an(2), get_module("joker(2)"), 3, 16)
-    for s in range(1, len(R.degrees)):
-        for entry in R.diffs[s]:
-            for e in entry.values():
-                assert () not in e.monomials
+    assert all(x != () for stage in stage_terms(R) for terms in stage for _, x in terms)
+
+
+def test_terms_start_at_stage_one():
+    R = minimal_resolution(an(1), get_module("joker"), 2, 10)
+    assert list(R.terms(1, 0)) == [(0, (3,))]
+    with pytest.raises(ValueError):
+        R.terms(0, 0)
 
 
 @pytest.mark.parametrize(
@@ -307,7 +313,7 @@ def test_resolver_keeps_every_stage_as_bitsets(monkeypatch, algebra, M):
     def refuse(*args):
         raise AssertionError("the resolver built an algebra element")
 
-    monkeypatch.setattr(resolution._FreeModule, "element", refuse)
+    monkeypatch.setattr(resolution._FreeModule, "terms", refuse)
     monkeypatch.setattr(Element, "__init__", refuse)
     monkeypatch.setattr(Element, "from_set", staticmethod(refuse))
     R = minimal_resolution(algebra, M, 6, 24)
@@ -315,6 +321,26 @@ def test_resolver_keeps_every_stage_as_bitsets(monkeypatch, algebra, M):
     assert [len(v) for v in R.values] == [len(d) for d in R.degrees]
     assert all(isinstance(v, int) for stage in R.values for v in stage)
     assert resolution_checks(R) == []
+
+
+@pytest.mark.parametrize(
+    "algebra, M",
+    [(an(2), get_module("joker(2)")), (full_a(), trivial_module(full_a()))],
+    ids=["A(2) joker(2)", "A sphere"],
+)
+def test_charts_and_dumps_build_no_element(monkeypatch, algebra, M):
+    R = minimal_resolution(algebra, M, 6, 24)
+
+    def refuse(*args):
+        raise AssertionError("rendering built an algebra element")
+
+    monkeypatch.setattr(Element, "__init__", refuse)
+    monkeypatch.setattr(Element, "from_set", staticmethod(refuse))
+    chart = ext_chart(R)
+    assert chart.h_lines
+    for format in ("text", "svg"):
+        assert emit_chart(chart, format)
+    assert dump_resolution(R).startswith("d 0 g0_0 = ")
 
 
 # Sq^1 a = b + c is the only degree-1 image, so the stage-0 generator in
@@ -360,9 +386,7 @@ def test_resolver_matches_product_route(case):
     ref = reference_resolution(algebra, _module(algebra, name), s_max, t_max)
     assert R.degrees == ref.degrees
     assert R.values == ref.values
-    diffs = R.diffs
-    assert diffs == ref.diffs
-    assert R.diffs is diffs  # decoded once, then kept
+    assert stage_terms(R) == reference_terms(ref)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
