@@ -2,10 +2,11 @@
 
 Every entry is built by a recipe (cyclic quotient, doubling, dual, extension)
 and, where a transcribed action diagram exists, cross-checked against it by
-isomorphism search.  Diagram transcriptions follow the drawing convention
-that short edges are the action of the smaller generator (Sq^1, or Sq^2 in
-doubled pictures) and long edges the larger one.  The joker towers are named
-by `tower_name` alone, and `_parse_tower` reads back exactly the names it prints.
+isomorphism search.  Each diagram is drawn once over A(1), short edges Sq^1
+and long edges Sq^2; its doubles and extensions follow one rule: a k-fold
+double shifts its degrees and Sq keys by k, and an extension adds Sq^(4 << k)
+from bottom to top or leaves it zero.  The joker towers are named by
+`tower_name` alone, and `_parse_tower` reads back exactly the names it prints.
 """
 
 from __future__ import annotations
@@ -89,16 +90,18 @@ def get_module(name: str) -> FiniteModule:
 
 
 def _build(name: str) -> FiniteModule:
-    if name == "joker":
-        return cyclic_quotient(an(1), [sq(3)], "joker")
+    # the cyclic modules: A(1) over the left ideal of the relations
+    relations = {
+        "joker": [sq(3)], "jokerP": [sq(2, 1)], "w0": [sq(1), sq(2)], "w1": [sq(2)], "a1": []
+    }
+    if name in relations:
+        return cyclic_quotient(an(1), relations[name], name)
     if name in ("joker0", "joker1"):
         return _pick_extension(get_module("joker"), 4, name == "joker1", name)
     tower = _parse_tower(name)
     if tower is not None:  # n >= 2: every n = 1 name is handled above
         n, eps = tower
         return double(get_module(tower_name(1, eps)), n - 1, name)
-    if name == "jokerP":
-        return cyclic_quotient(an(1), [sq(2, 1)], "jokerP")
     if name == "jokerP1":
         return _pick_extension(get_module("jokerP"), 4, True, name)
     if name == "jokerPP1":
@@ -107,106 +110,61 @@ def _build(name: str) -> FiniteModule:
         return double(get_module("jokerP1"), 1, "joker2P1")
     if name == "joker2PP1":
         return restrict(shift(dualize(get_module("joker2P1")), 8), an(2), "joker2PP1")
-    if name == "w0":
-        return cyclic_quotient(an(1), [sq(1), sq(2)], "w0")
-    if name == "w1":
-        return cyclic_quotient(an(1), [sq(2)], "w1")
     if name == "w2":
         return hand_table("w2")
     if name == "w4":
         return shift(dualize(get_module("w1")), 3, "w4")
-    if name == "a1":
-        return cyclic_quotient(an(1), [], "a1")
     raise KeyError(f"unknown catalogue module {name!r}")
 
 
 # -- transcribed action diagrams -------------------------------------------------
 
-# The joker: a spine of five classes with Sq^1 on the bottom and top pairs
-# and Sq^2 connecting degrees 0-2, 1-3, 2-4.
-_JOKER_SQ1 = (2, 0, 0, 16, 0)
-_JOKER_SQ2 = (4, 8, 16, 0, 0)
+# Each picture over A(1): its class ids, each naming its degree, and Sq^1 and Sq^2 rows.
+_PICTURES: dict[str, tuple[str, tuple[int, ...], tuple[int, ...]]] = {
+    # a five-class spine: Sq^1 on the bottom and top pairs, Sq^2 from degrees 0, 1, 2
+    "joker": ("x0 x1 x2 x3 x4", (2, 0, 0, 16, 0), (4, 8, 16, 0, 0)),
+    # the joker spine with a whisker at degree 3 fed by Sq^1 from degree 2
+    "jokerP": ("x0 x1 x2 x3 y3 x4", (2, 0, 16, 32, 0, 0), (4, 8, 32, 0, 0, 0)),
+    # a whisker at degree 1 feeding Sq^1 into the spine at degree 2
+    "jokerPP1": ("x0 x1 y1 x2 x3 x4", (2, 0, 8, 0, 32, 0), (8, 16, 0, 32, 0, 0)),
+    "w0": ("x0", (0,), (0,)),
+    # the question mark: Sq^1 at the bottom, Sq^2 above it
+    "w1": ("x0 x1 x3", (2, 0, 0), (0, 4, 0)),
+    # the reversed question mark: Sq^2 at the bottom, Sq^1 above it
+    "w4": ("x0 x2 x3", (0, 4, 0), (2, 0, 0)),
+    # left multiplication on the Milnor basis of A(1), computed by hand
+    "a1": (
+        "x0 x1 x2 x3 x3a x4 x5 x6", (2, 0, 16, 32, 0, 0, 128, 0), (4, 24, 32, 64, 64, 128, 0, 0)
+    ),
+}
+
+# name -> (picture, doubling k, extension); towers up to n = 3 come from `_parse_tower`
+_DRAWN: dict[str, tuple[str, int, str]] = {
+    **{picture: (picture, 0, "") for picture in _PICTURES},
+    "w2": ("joker", 0, ""),
+    "jokerP1": ("jokerP", 0, "1"),
+    "joker2P1": ("jokerP", 1, ""),
+    "joker2PP1": ("jokerPP1", 1, ""),
+}
 
 
 def hand_table(name: str) -> FiniteModule | None:
     """The transcribed diagram for the entry, or None when the functorial
-    construction is the only source (doubles beyond n = 3, duals, tensors)."""
-    tower = (1, "") if name == "w2" else _parse_tower(name)
-    if tower is not None and tower[0] <= 3:
-        # the joker spine doubled k times; joker1 adds Sq^(4 << k) bottom to top
-        n, eps = tower
-        k = n - 1
-        tables = {1 << k: _JOKER_SQ1, 2 << k: _JOKER_SQ2}
-        if eps == "1":
-            tables[4 << k] = (16, 0, 0, 0, 0)
-        algebra = full_a() if eps else an(n)
-        spine5 = ("x0", "x1", "x2", "x3", "x4")
-        return FiniteModule(name, algebra, spine5, tuple(d << k for d in range(5)), tables)
-    if name in ("jokerP", "jokerP1"):
-        # joker spine with a whisker at degree 3 fed by Sq^1 from degree 2;
-        # the extended version also has Sq^4 from bottom to top
-        gens = ("x0", "x1", "x2", "x3", "y3", "x4")
-        tables = {1: (2, 0, 16, 32, 0, 0), 2: (4, 8, 32, 0, 0, 0)}
-        if name == "jokerP1":
-            tables[4] = (32, 0, 0, 0, 0, 0)
-        algebra = an(1) if name == "jokerP" else full_a()
-        return FiniteModule(name, algebra, gens, (0, 1, 2, 3, 3, 4), tables)
-    if name == "jokerPP1":
-        # whisker at degree 1 feeding Sq^1 into the spine at degree 2
-        gens = ("x0", "x1", "y1", "x2", "x3", "x4")
-        return FiniteModule(
-            name,
-            an(1),
-            gens,
-            (0, 1, 1, 2, 3, 4),
-            {1: (2, 0, 8, 0, 32, 0), 2: (8, 16, 0, 32, 0, 0)},
-        )
-    if name == "joker2P1":
-        # doubled whiskered joker: whisker at degree 6 fed by Sq^2 from 4
-        gens = ("x0", "x2", "x4", "x6", "y6", "x8")
-        return FiniteModule(
-            name,
-            an(2),
-            gens,
-            (0, 2, 4, 6, 6, 8),
-            {2: (2, 0, 16, 32, 0, 0), 4: (4, 8, 32, 0, 0, 0)},
-        )
-    if name == "joker2PP1":
-        # doubled version of the degree-1 whisker picture
-        gens = ("x0", "x2", "y2", "x4", "x6", "x8")
-        return FiniteModule(
-            name,
-            an(2),
-            gens,
-            (0, 2, 2, 4, 6, 8),
-            {2: (2, 0, 8, 0, 32, 0), 4: (8, 16, 0, 32, 0, 0)},
-        )
-    if name == "w0":
-        return FiniteModule(name, an(1), ("x0",), (0,), {})
-    if name == "w1":
-        # the question mark: Sq^1 at the bottom, Sq^2 above it
-        return FiniteModule(
-            name, an(1), ("x0", "x1", "x3"), (0, 1, 3), {1: (2, 0, 0), 2: (0, 4, 0)}
-        )
-    if name == "w4":
-        # the reversed question mark: Sq^2 at the bottom, Sq^1 above it
-        return FiniteModule(
-            name, an(1), ("x0", "x2", "x3"), (0, 2, 3), {1: (0, 4, 0), 2: (2, 0, 0)}
-        )
-    if name == "a1":
-        # left multiplication on the Milnor basis of A(1), computed by hand
-        gens = ("x0", "x1", "x2", "x3", "x3a", "x4", "x5", "x6")
-        return FiniteModule(
-            name,
-            an(1),
-            gens,
-            (0, 1, 2, 3, 3, 4, 5, 6),
-            {
-                1: (2, 0, 16, 32, 0, 0, 128, 0),
-                2: (4, 24, 32, 64, 64, 128, 0, 0),
-            },
-        )
-    return None
+    construction is the only source (doubles beyond n = 3, duals, tensors).
+    Each picture is drawn once over A(1); its k-fold double lies over A(1 + k),
+    an extension over A with Sq^(4 << k) zero ("0") or bottom to top ("1")."""
+    tower = _parse_tower(name)
+    drawn = ("joker", tower[0] - 1, tower[1]) if tower and tower[0] <= 3 else _DRAWN.get(name)
+    if drawn is None:
+        return None
+    picture, k, eps = drawn
+    ids, sq1, sq2 = _PICTURES[picture]
+    gens = tuple(ids.split())
+    tables = {1 << k: sq1, 2 << k: sq2}
+    if eps == "1":
+        tables[4 << k] = (1 << len(gens) - 1,) + (0,) * (len(gens) - 1)
+    degrees = tuple(int(re.sub(r"\D", "", g)) << k for g in gens)
+    return FiniteModule(name, full_a() if eps else an(1 + k), gens, degrees, tables)
 
 
 # -- verification -----------------------------------------------------------------

@@ -210,8 +210,23 @@ def minimal_resolution(
 
 
 def resolution_checks(R: Resolution) -> list[str]:
-    """Verify d*d = 0 and minimality; empty list means the resolution is valid."""
+    """Verify d*d = 0 and minimality; empty list means the resolution is valid.
+    Bits outside a differential's target are reported first, and alone."""
     problems = []
+    for s, values in enumerate(R.values):
+        for a, value in enumerate(values):
+            t = R.degrees[s][a]
+            if s:
+                dim = R._free[s - 1].offsets(t)[-1]
+                stray = value >> dim << dim
+                where = f"is past dim C_{s-1} = {dim}"
+            else:
+                stray = value & ~sum(1 << i for i in R.module.basis_at(t))
+                where = f"is not a class of {R.module.name}"
+            if stray:
+                problems.append(f"d {s} g{s}_{a}: bit {next(bits(stray))} {where} in degree {t}")
+    if problems:
+        return problems
     below: list[dict[int, Element]] = []
     for s in range(1, len(R.degrees)):
         diffs = []  # d_s(g_a) as target generator index -> algebra element

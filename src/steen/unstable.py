@@ -222,9 +222,7 @@ def truncate_quotient(P: PolyModule, algebra: Algebra, top: int) -> FiniteModule
     index = {m: i for i, m in enumerate(basis)}
     span = max(degrees) - min(degrees) if degrees else 0
     tables: dict[int, tuple[int, ...]] = {}
-    for k in range(1, span + 1):
-        if not algebra.contains((k,)):
-            continue
+    for k in range(1, algebra.sq_bound(span) + 1):
         rows = []
         for m, d in zip(basis, degrees):
             row = 0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from steen import catalogue
 from steen.catalogue import MODULE_NAMES, _parse_tower, get_module, tower_name, verify_catalogue
 from steen.milnor import an, antipode, sq, sq_word
 from steen.modfile import parse, serialize
@@ -34,6 +35,51 @@ def test_catalogue_names_are_stable():
 def test_every_entry_verifies():
     report = verify_catalogue()
     assert [name for name, status in report if status != "ok"] == []
+
+
+def _flagged(monkeypatch, picture, drawing) -> dict[str, str]:
+    monkeypatch.setitem(catalogue._PICTURES, picture, drawing)
+    return {name: status for name, status in verify_catalogue() if status != "ok"}
+
+
+# The joker picture is left alone: w2 is built from it and cached.  jokerP
+# draws jokerP, jokerP1 (with the Sq^4 row) and joker2P1 (doubled).
+@pytest.mark.parametrize(
+    "sq1, flagged",
+    [
+        # Sq^1 from x0 onto x2, two degrees up: the constructor refuses it
+        (
+            (4, 0, 16, 32, 0, 0),
+            {
+                "jokerP": "jokerP: Sq^1 x0 hits x2 of wrong degree",
+                "jokerP1": "jokerP1: Sq^1 x0 hits x2 of wrong degree",
+                "joker2P1": "joker2P1: Sq^2 x0 hits x2 of wrong degree",
+            },
+        ),
+        # Sq^1 x1 = x2 too, so Sq^1 Sq^1 x0 = x2: validate refuses it
+        (
+            (2, 4, 16, 32, 0, 0),
+            {
+                name: f"diagram: {name}: (Sq^{k}*Sq({k}))x0 = [] "
+                "but acting in two steps gives ['x2']"
+                for name, k in (("jokerP", 1), ("jokerP1", 1), ("joker2P1", 2))
+            },
+        ),
+    ],
+)
+def test_a_broken_picture_flags_the_entries_drawn_from_it(monkeypatch, sq1, flagged):
+    ids, _, sq2 = catalogue._PICTURES["jokerP"]
+    assert _flagged(monkeypatch, "jokerP", (ids, sq1, sq2)) == flagged
+
+
+def test_a_picture_that_draws_another_module_is_caught(monkeypatch):
+    jokerPP1 = catalogue._PICTURES["jokerPP1"]
+    # drop the whisker's Sq^1 from y1 onto x2
+    drawing = (jokerPP1[0], (2, 0, 0, 0, 32, 0), jokerPP1[2])
+    assert _flagged(monkeypatch, "jokerPP1", drawing) == {
+        "jokerPP1": "construction does not match the transcribed diagram",
+        "joker2PP1": "construction does not match the transcribed diagram",
+    }
 
 
 def test_unknown_name_is_rejected():

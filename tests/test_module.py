@@ -362,6 +362,12 @@ def test_restrict_guards_upward():
     assert R.validate() == []
 
 
+def test_restrict_refuses_a_larger_algebra():
+    with pytest.raises(ValueError) as exc:
+        restrict(joker(), A2)
+    assert str(exc.value) == "A(2) is not inside A(1)"
+
+
 def test_catalogue_doubles_act_as_their_own_blocks():
     # the base route against the module's own blocks, where those are cheap
     for name in MODULE_NAMES:
@@ -459,6 +465,12 @@ def test_extension_to_full_algebra():
     for ext in exts:
         assert ext.algebra == full_a()
         assert ext.validate() == []
+
+
+def test_extension_refuses_a_smaller_algebra():
+    with pytest.raises(ValueError) as exc:
+        extension_enumerate(joker(), an(0))
+    assert str(exc.value) == "A(0) does not contain A(1)"
 
 
 def test_extension_search_past_the_limit_is_refused():

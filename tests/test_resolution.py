@@ -139,6 +139,16 @@ def test_resolution_checks_report_edited_differentials():
     C.values[2].insert(0, 1)
     assert resolution_checks(C)[0] == "d 2 g2_0: unit coefficient on g1_0"
 
+    # bits outside the target, reported before anything is decoded: C_0 has
+    # dimension 2 in degree 3, and joker has one class in degree 0
+    C = _copy(R)
+    C.values[1][0] ^= 1 << 2
+    assert resolution_checks(C) == ["d 1 g1_0: bit 2 is past dim C_0 = 2 in degree 3"]
+
+    C = _copy(R)
+    C.values[0][0] ^= 1 << 7
+    assert resolution_checks(C) == ["d 0 g0_0: bit 7 is not a class of joker in degree 0"]
+
 
 def test_rank_stability():
     small = minimal_resolution(an(1), sphere(an(1)), 5, 10)
