@@ -15,9 +15,8 @@ from typing import Sequence
 
 from steen.catalogue import MODULE_NAMES, get_module
 from steen.config import T_MAX_DEFAULT, Config, config_problems, from_env
-from steen.milnor import full_a
 from steen.modfile import load, parse_algebra, serialize
-from steen.module import FiniteModule, double, dualize, find_isomorphism, shift, tensor
+from steen.module import FiniteModule, double, dualize, tensor
 from steen.obstruction import format_report, obstruction_report, report_lines
 from steen.resolution import (
     CHART_FORMATS,
@@ -28,7 +27,7 @@ from steen.resolution import (
     ext_chart,
     minimal_resolution,
 )
-from steen.unstable import bso3, bsu3, truncate_quotient
+from steen.unstable import SPACES, cube_quotient
 from steen.verify import run_all
 
 __all__ = ["main"]
@@ -59,13 +58,6 @@ def _resolution(args: argparse.Namespace, cfg: Config) -> Resolution:
 
 
 _TMAX_HELP = f"internal-degree bound (default {T_MAX_DEFAULT}, at most {T_MAX_LIMIT})"
-
-# the default cap (the degree of the bottom generator's cube), the two
-# extensions the quotient at that cap is compared with, and their shift
-_UNSTABLE = {
-    "bso3": (bso3, 6, "joker0", "joker1", 2),
-    "bsu3": (bsu3, 12, "joker(2)0", "joker(2)1", 4),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_chart)
 
     p = sub.add_parser("unstable", help="truncated characteristic-class quotient")
-    p.add_argument("space", choices=_UNSTABLE)
-    caps = " or ".join(str(entry[1]) for entry in _UNSTABLE.values())
+    p.add_argument("space", choices=SPACES)
+    caps = " or ".join(str(3 << n) for _, n in SPACES.values())
     p.add_argument("--cap", type=int, help=f"degree cap (default {caps})")
     p.set_defaults(run=_cmd_unstable)
 
@@ -193,14 +185,11 @@ def _cmd_chart(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _cmd_unstable(args: argparse.Namespace, cfg: Config) -> int:
-    build, default_cap, zero_name, one_name, span = _UNSTABLE[args.space]
-    cap = args.cap if args.cap is not None else default_cap
-    Q = truncate_quotient(build().with_relations((3, 0)), full_a(), cap)
+    Q, matches = cube_quotient(args.space, args.cap)
     print(serialize(Q), end="")
-    if cap == default_cap:
-        for name in (zero_name, one_name):
-            found = find_isomorphism(Q, shift(get_module(name), span)) is not None
-            print(f"matches {name}[{span}] on degrees {span}..{cap}: {'yes' if found else 'no'}")
+    for name, found in matches.items():
+        verdict = "yes" if found else "no"
+        print(f"matches {name}[{Q.bottom}] on degrees {Q.bottom}..{Q.top}: {verdict}")
     return 0
 
 

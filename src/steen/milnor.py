@@ -281,13 +281,9 @@ def to_admissible(a: Element) -> tuple[Word, ...]:
     return tuple(sorted(chosen))
 
 
-@lru_cache(maxsize=None)
 def _antipode_sq(k: int) -> Element:
-    """chi(Sq^k) via chi(Sq^n) = sum_{i=1}^{n} Sq^i chi(Sq^{n-i})."""
-    acc = UNIT if k == 0 else ZERO
-    for i in range(1, k + 1):
-        acc += sq(i) * _antipode_sq(k - i)
-    return acc
+    """chi(Sq^k) by Milnor's closed form: the sum of the Milnor basis in degree k."""
+    return Element(milnor_basis(k))
 
 
 @lru_cache(maxsize=None)

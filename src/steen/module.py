@@ -523,7 +523,7 @@ def cyclic_quotient(
     for d, _ in reps:
         count = seen.get(d, 0)
         seen[d] = count + 1
-        suffix = "" if count == 0 else chr(ord("a") + count - 1)
+        suffix = "" if count == 0 else chr(ord("a") + count - 1) if count <= 26 else f"_{count}"
         ids.append(f"x{d}{suffix}")
     positions = {rep: i for i, rep in enumerate(reps)}
 

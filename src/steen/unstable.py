@@ -1,17 +1,20 @@
-"""Polynomial algebras on characteristic classes with the Wu-formula action."""
+"""Polynomial algebras on characteristic classes, the Wu formula, and cube quotients."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from steen.catalogue import get_module, tower_name
 from steen.dual import poly_mul
-from steen.milnor import DEGREE_CAP, Algebra
-from steen.module import FiniteModule
+from steen.milnor import DEGREE_CAP, Algebra, full_a
+from steen.module import FiniteModule, find_isomorphism, shift
 
 __all__ = [
     "PolyModule",
+    "SPACES",
     "bso3",
     "bsu3",
+    "cube_quotient",
     "truncate_quotient",
     "wu_action",
 ]
@@ -239,3 +242,24 @@ def truncate_quotient(P: PolyModule, algebra: Algebra, top: int) -> FiniteModule
     if problems:
         raise ValueError("; ".join(problems))
     return M
+
+
+# each space with the n of its certificate: the bottom class has degree 2^n
+SPACES = {"bso3": (bso3, 1), "bsu3": (bsu3, 2)}
+
+
+def cube_quotient(space: str, top: int | None = None) -> tuple[FiniteModule, dict[str, bool]]:
+    """The space's cohomology modulo its bottom class cubed, truncated above top.
+
+    With n as in SPACES, top defaults to the cube's degree 3 * 2^n; there the
+    map says whether the quotient is joker(n)0 and whether it is joker(n)1,
+    each shifted up by 2^n.  At any other top the map is empty.
+    """
+    build, n = SPACES[space]
+    top = 3 << n if top is None else top
+    Q = truncate_quotient(build().with_relations((3, 0)), full_a(), top)
+    matches = {}
+    if top == 3 << n:
+        for name in (tower_name(n, "0"), tower_name(n, "1")):
+            matches[name] = find_isomorphism(Q, shift(get_module(name), 1 << n)) is not None
+    return Q, matches

@@ -10,7 +10,7 @@ package primitives that only the tests need (`verschiebung` over
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
-module maps), and twelve reference routes: the resolver,
+module maps), and thirteen reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
 `reference_tables`, which reads a double's tables from its own blocks
@@ -23,9 +23,11 @@ reduced and walks every stored row instead of clearing the lowest pivot set;
 `all_pairs_associativity`, which checks (ab)x = a(bx) for every pair of basis
 monomials instead of only a = Sq(2^e); `reference_cyclic_quotient`, which
 spans the ideal by the products Sq(b) * rel instead of the Sq(2^e)
-recurrence; `reference_dualize`, which acts by the algebra element
-chi(Sq^k) from `antipode`, through the product recurrence, instead of
-summing the module's `images` by Milnor's closed form for chi(Sq^n);
+recurrence; `reference_antipode_sq`, which builds chi(Sq^n) from products
+by the recurrence chi(Sq^n) = sum_i Sq^i chi(Sq^(n-i)) instead of Milnor's
+closed form, the sum of the Milnor basis in degree n; `reference_dualize`,
+which acts by the algebra element chi(Sq^k) from `reference_antipode_sq`
+instead of summing the module's `images` by that closed form;
 `reference_basis_count`, which convolves one slot at a time with a
 sliding window instead of reading a cached Poincare series;
 `reference_product_monomials`, which fills in each whole Milnor matrix before
@@ -53,7 +55,6 @@ from steen.milnor import (
     Algebra,
     Element,
     FreeMap,
-    antipode,
     basis_index,
     enumerate_basis,
     full_a,
@@ -245,6 +246,15 @@ def oracle_antipode(r: Mono) -> frozenset[Mono]:
     """chi Sq(R) through the dual: coefficient of xi^R in zeta^E, over all E."""
     d = xi_degree(r)
     return frozenset(e for e in xi_monomials(d) if r in zeta_substitute(e))
+
+
+@lru_cache(maxsize=None)
+def reference_antipode_sq(n: int) -> Element:
+    """chi(Sq^n) by the recurrence chi(Sq^n) = sum_{i=1}^{n} Sq^i chi(Sq^{n-i})."""
+    acc = Element([()]) if n == 0 else Element()
+    for i in range(1, n + 1):
+        acc += sq(i) * reference_antipode_sq(n - i)
+    return acc
 
 
 # -- Adem relations -----------------------------------------------------------
@@ -881,7 +891,8 @@ def reference_cyclic_quotient(algebra, relations, name):
     for d, _ in reps:
         count = seen.get(d, 0)
         seen[d] = count + 1
-        ids.append(f"x{d}" + ("" if count == 0 else chr(ord("a") + count - 1)))
+        suffix = "" if count == 0 else chr(ord("a") + count - 1) if count <= 26 else f"_{count}"
+        ids.append(f"x{d}{suffix}")
     positions = {rep: i for i, rep in enumerate(reps)}
     span = max((d for d, _ in reps), default=0)
     tables = {}
@@ -909,7 +920,7 @@ def _doubling(M):
 
 
 def reference_dualize(M, name=None):
-    """The dual with chi(Sq^k) built as an algebra element through `antipode`.
+    """The dual with chi(Sq^k) built as an algebra element by `reference_antipode_sq`.
 
     The package sums M's images over the Milnor basis of degree k instead.
     Here M acts by its own blocks, and only a double of span above 16, whose
@@ -929,7 +940,7 @@ def reference_dualize(M, name=None):
         return shift(double(reference_dualize(base), k), -M.bottom, name)
     tables = {}
     for k in _generator_ks(M.algebra, M.span):
-        chi = antipode(sq(k))
+        chi = reference_antipode_sq(k)
         rows = [0] * M.dim
         for j in range(M.dim):
             image = 0

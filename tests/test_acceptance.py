@@ -69,6 +69,14 @@ def test_whole_algebra_structure_counts():
     _run("extensions")
 
 
+def test_structure_counts_take_a1_from_the_catalogue(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ledger builds a cyclic quotient of its own")
+
+    monkeypatch.setattr(verify, "cyclic_quotient", refuse)
+    _run("extensions")
+
+
 def test_unstable_quotients_match_the_towers():
     _run("unstable")
 

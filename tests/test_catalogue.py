@@ -42,8 +42,7 @@ def _flagged(monkeypatch, picture, drawing) -> dict[str, str]:
     return {name: status for name, status in verify_catalogue() if status != "ok"}
 
 
-# The joker picture is left alone: w2 is built from it and cached.  jokerP
-# draws jokerP, jokerP1 (with the Sq^4 row) and joker2P1 (doubled).
+# jokerP draws jokerP, jokerP1 (with the Sq^4 row) and joker2P1 (doubled).
 @pytest.mark.parametrize(
     "sq1, flagged",
     [
@@ -80,6 +79,23 @@ def test_a_picture_that_draws_another_module_is_caught(monkeypatch):
         "jokerPP1": "construction does not match the transcribed diagram",
         "joker2PP1": "construction does not match the transcribed diagram",
     }
+
+
+def test_a_broken_joker_picture_flags_w2_as_a_diagram(monkeypatch):
+    # w2 is built from its relation, so a bad picture breaks the diagram that
+    # checks it, as for joker and its towers, and not the entry itself
+    ids, _, sq2 = catalogue._PICTURES["joker"]
+    get_module.cache_clear()
+    try:
+        flagged = _flagged(monkeypatch, "joker", (ids, (2, 0, 0, 0, 0), sq2))  # no Sq^1 x3
+    finally:
+        get_module.cache_clear()
+    drawn = {tower_name(n, eps) for n in (1, 2, 3) for eps in ("", "0", "1")}
+    assert set(flagged) == drawn | {"w2"}
+    for name in ("joker", "w2"):
+        assert flagged[name] == (
+            f"diagram: {name}: (Sq^2*Sq(2))x0 = [] but acting in two steps gives ['x4']"
+        )
 
 
 def test_unknown_name_is_rejected():

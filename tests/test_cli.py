@@ -470,6 +470,24 @@ def test_unstable_bsu3_verdicts(capsys):
     assert "matches joker(2)1[4] on degrees 4..12: no" in out
 
 
+@pytest.mark.parametrize(
+    "cap, compared", [([], True), (["--cap", "6"], True), (["--cap", "5"], False)]
+)
+def test_unstable_compares_at_the_cube_degree_only(capsys, cap, compared):
+    assert main(["unstable", "bso3", *cap]) == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if "matches" in line]
+    expected = [
+        "matches joker0[2] on degrees 2..6: yes",
+        "matches joker1[2] on degrees 2..6: no",
+    ]
+    assert verdicts == (expected if compared else [])
+
+
+def test_unstable_cap_zero_is_out_of_range(capsys):
+    assert main(["unstable", "bso3", "--cap", "0"]) == 2
+    assert capsys.readouterr().err == "steen: cap 0 outside 1..64\n"
+
+
 def test_unstable_unclosed_cap_reports_witness(capsys):
     assert main(["unstable", "bso3", "--cap", "8"]) == 2
     assert "leaves the relation ideal at w2^2*w3" in capsys.readouterr().err

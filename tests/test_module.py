@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from steen.module import (
     extension_enumerate,
     find_isomorphism,
     hom_basis,
+    is_id,
     restrict,
     shift,
     tensor,
@@ -117,6 +119,24 @@ def test_cyclic_quotient_point():
     assert W.dims() == {0: 1}
     assert W.tables == {}
     assert W.validate() == []
+
+
+@pytest.mark.parametrize(
+    "algebra, relations",
+    [
+        pytest.param(an(3), [], id="A(3)"),  # 30 classes in degree 36
+        # up to 45 classes in one degree, about 7 s
+        pytest.param(an(4), [sq(1), sq(4)], id="A(4)/(Sq1,Sq4)", marks=pytest.mark.slow),
+    ],
+)
+def test_cyclic_quotient_names_every_class_in_ascii(algebra, relations):
+    # a degree's classes are x<d>, x<d>a ... x<d>z, then x<d>_27, x<d>_28, ...
+    Q = cyclic_quotient(algebra, relations, "q")
+    assert len(set(Q.gens)) == Q.dim
+    assert any("_" in g for g in Q.gens)
+    for g, d in zip(Q.gens, Q.degrees):
+        assert is_id(g) and g.isascii(), g
+        assert re.fullmatch(rf"x{d}([a-z]|_[0-9]+)?", g), g
 
 
 # every cyclic presentation the catalogue and the ledger build, and the
