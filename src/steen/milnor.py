@@ -327,19 +327,21 @@ class Algebra(NamedTuple):
         # sum over i of (2^(n+2-i) - 1)(2^i - 1), in closed form
         return ((self.n - 1) << (self.n + 2)) + self.n + 5
 
+    def exponent_bound(self, i: int, d: int) -> int:
+        """The largest r <= d that slot i may hold: min(d, 2^(n+2-i) - 1), 0 past slot n+1.
+
+        Bit lengths are compared before any shift: n may be too large to shift by.
+        """
+        if self.n is None or d.bit_length() <= self.n + 2 - i:
+            return d
+        return (1 << max(self.n + 2 - i, 0)) - 1
+
     def contains(self, m: Monomial) -> bool:
-        # r_i < 2^(n+2-i), compared by bit length: n may be too large to shift by
-        if self.n is None:
-            return True
-        if len(m) > self.n + 1:
-            return False
-        return all(r.bit_length() <= self.n + 2 - i for i, r in enumerate(m, start=1))
+        return all(self.exponent_bound(i, r) == r for i, r in enumerate(m, start=1))
 
     def sq_bound(self, d: int) -> int:
         """The largest k <= d with Sq^k in the algebra: min(d, 2^(n+1) - 1)."""
-        if self.n is None or d.bit_length() <= self.n + 1:
-            return d
-        return (1 << (self.n + 1)) - 1
+        return self.exponent_bound(1, d)
 
     def contains_element(self, a: Element) -> bool:
         return all(self.contains(m) for m in a.monomials)
@@ -363,19 +365,12 @@ def full_a() -> Algebra:
 
 
 @lru_cache(maxsize=None)
-def _basis(n: int | None, d: int) -> tuple[Monomial, ...]:
-    """Milnor monomials of degree d in A(n), or in A when n is None, lex sorted."""
+def _basis(algebra: Algebra, d: int) -> tuple[Monomial, ...]:
+    """Milnor monomials of degree d in the algebra, lex sorted."""
     if d < 0:
         return ()
     slots = max((d + 1).bit_length() - 1, 1)
-    if n is not None:
-        slots = min(slots, n + 1)
-
-    def bound(slot: int) -> int:
-        # the profile of A(n) allows r_i < 2^(n+2-i); A allows any r_i <= d
-        if n is None or d.bit_length() <= n + 2 - slot:
-            return d
-        return (1 << (n + 2 - slot)) - 1
+    bound = [0] + [algebra.exponent_bound(slot, d) for slot in range(1, slots + 1)]
 
     out: list[Monomial] = []
     cur = [0] * slots
@@ -383,13 +378,13 @@ def _basis(n: int | None, d: int) -> tuple[Monomial, ...]:
     def rec(slot: int, rem: int) -> None:
         if slot == 1:
             # weight 1: the first exponent soaks up whatever remains
-            if rem <= bound(1):
+            if rem <= bound[1]:
                 cur[0] = rem
                 out.append(normalize(cur))
                 cur[0] = 0
             return
         w = (1 << slot) - 1
-        for r in range(min(rem // w, bound(slot)) + 1):
+        for r in range(min(rem // w, bound[slot]) + 1):
             cur[slot - 1] = r
             rec(slot - 1, rem - r * w)
         cur[slot - 1] = 0
@@ -400,26 +395,26 @@ def _basis(n: int | None, d: int) -> tuple[Monomial, ...]:
 
 def milnor_basis(d: int) -> tuple[Monomial, ...]:
     """All Milnor monomials of degree d, lex sorted."""
-    return _basis(None, d)
+    return _basis(Algebra(), d)
 
 
 def enumerate_basis(algebra: Algebra, d: int) -> tuple[Monomial, ...]:
     """Milnor basis of the algebra in degree d, lex sorted on exponent tuples."""
     if algebra.n is None and d > DEGREE_CAP:
         raise ValueError(f"degree {d} exceeds cap {DEGREE_CAP}")
-    return _basis(algebra.n, d)
+    return _basis(algebra, d)
 
 
 @lru_cache(maxsize=None)
-def _poincare(n: int | None, top: int) -> tuple[int, ...]:
-    """Dimensions of A(n), or of A when n is None, in degrees 0..top."""
+def _poincare(algebra: Algebra, top: int) -> tuple[int, ...]:
+    """Dimensions of the algebra in degrees 0..top."""
     counts = [1] + [0] * top
-    slots = top.bit_length() if n is None else min(top.bit_length(), n + 1)
-    for slot in range(1, slots + 1):
+    for slot in range(1, top.bit_length() + 1):
         w = (1 << slot) - 1
-        if n is not None and top.bit_length() > n + 2 - slot:
-            # r_slot < 2^(n+2-slot): multiply by 1 - t^(w 2^(n+2-slot))
-            cut = w << (n + 2 - slot)
+        bound = algebra.exponent_bound(slot, top)
+        if bound < top:
+            # r_slot <= bound: multiply by 1 - t^(w (bound+1))
+            cut = w * (bound + 1)
             for x in range(top, cut - 1, -1):
                 counts[x] -= counts[x - cut]
         for x in range(w, top + 1):  # divide by 1 - t^w
@@ -438,7 +433,7 @@ def basis_count(algebra: Algebra, d: int) -> int:
     """
     if d < 0:
         return 0
-    return _poincare(algebra.n, (1 << d.bit_length()) - 1)[d]
+    return _poincare(algebra, (1 << d.bit_length()) - 1)[d]
 
 
 def milnor_primitive(s: int, t: int) -> Monomial:

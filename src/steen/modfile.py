@@ -31,7 +31,7 @@ from steen.module import FiniteModule, is_id
 
 __all__ = ["ParseError", "load", "parse", "parse_algebra", "parse_json", "serialize"]
 
-_ALGEBRA_RE = re.compile(r"A(\((\d+)\))?")
+_ALGEBRA_RE = re.compile(r"A(\(([0-9]+)\))?")
 
 
 class ParseError(ValueError):
@@ -62,7 +62,7 @@ def parse_algebra(token: str, where: str) -> Algebra:
 
 
 def _integer(token: str, where: str, what: str, least: int | None = None) -> int:
-    value = _number(token) if re.fullmatch(r"-?\d+", token) else None
+    value = _number(token) if re.fullmatch(r"-?[0-9]+", token) else None
     if value is None or (least is not None and value < least):
         raise ParseError(where, f"bad {what} {token!r}")
     return value

@@ -283,7 +283,7 @@ class FiniteModule:
             )
         if base.n is not None:
             # summed lazily, up to the top class, which is 2^(n+1) - 1 or more
-            top = span if span.bit_length() <= base.n + 1 else min(span, base.top_degree)
+            top = span if base.sq_bound(span) == span else min(span, base.top_degree)
             counts = (basis_count(base, d) for d in range(1, top + 1))
             if any(need > BASIS_BUDGET for need in accumulate(counts)):
                 raise ValueError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from steen.catalogue import get_module, tower_name
 from steen.dual import poly_mul
@@ -25,20 +26,26 @@ Exponents = tuple[int, ...]
 _SCALE = {"real": 1, "complex": 2}
 
 
-class PolyModule:
+class _PolyFields(NamedTuple):
+    name: str
+    generators: tuple[tuple[str, int, str], ...]
+    relations: tuple[Exponents, ...] = ()
+
+
+class PolyModule(_PolyFields):
     """A GF(2) polynomial algebra on graded generators, modulo pure powers.
 
-    Immutable, with equality and hash by value: it keys the basis cache.
+    An immutable record, equal and hashed by value: it keys the Wu cache.
     """
 
-    __slots__ = ("name", "generators", "relations")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         name: str,
         generators: tuple[tuple[str, int, str], ...],
         relations: tuple[Exponents, ...] = (),
-    ) -> None:
+    ) -> PolyModule:
         names = [g for g, _, _ in generators]
         if len(set(names)) != len(names):
             raise ValueError(f"{name}: duplicate generator names")
@@ -57,30 +64,13 @@ class PolyModule:
             if not any(rel):
                 raise ValueError(f"{name}: unit relation")
             padded.append(rel)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", tuple(padded))
+        return super().__new__(cls, name, generators, tuple(padded))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("PolyModule is immutable")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError("PolyModule is immutable")
-
-    def _key(self) -> tuple:
-        return self.name, self.generators, self.relations
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyModule) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"PolyModule(name={self.name!r}, generators={self.generators!r},"
-            f" relations={self.relations!r})"
-        )
 
     @property
     def unit(self) -> Exponents:
@@ -103,26 +93,21 @@ class PolyModule:
 
     def monomials(self, d: int) -> tuple[Exponents, ...]:
         """The reduced monomial basis in degree d."""
-        return _monomials(self, d)
+        degrees = [deg for _, deg, _ in self.generators]
+
+        def extend(i: int, left: int) -> list[Exponents]:
+            if i == len(degrees):
+                return [()] if left == 0 else []
+            return [
+                (e,) + tail
+                for e in range(left // degrees[i] + 1)
+                for tail in extend(i + 1, left - e * degrees[i])
+            ]
+
+        return tuple(sorted(m for m in extend(0, d) if not self.reducible(m)))
 
     def with_relations(self, *relations: Exponents) -> PolyModule:
         return PolyModule(self.name, self.generators, relations)
-
-
-@lru_cache(maxsize=None)
-def _monomials(P: PolyModule, d: int) -> tuple[Exponents, ...]:
-    degrees = [deg for _, deg, _ in P.generators]
-
-    def extend(i: int, left: int) -> list[Exponents]:
-        if i == len(degrees):
-            return [()] if left == 0 else []
-        return [
-            (e,) + tail
-            for e in range(left // degrees[i] + 1)
-            for tail in extend(i + 1, left - e * degrees[i])
-        ]
-
-    return tuple(sorted(m for m in extend(0, d) if not P.reducible(m)))
 
 
 def _binom2(t: int, i: int) -> int:

@@ -52,10 +52,9 @@ __all__ = ["BY_SLUG", "CRITERIA", "Criterion", "run_all", "run_criterion"]
 
 
 class Criterion(NamedTuple):
-    """One ledger entry: a stable slug, a short title, and the check."""
+    """One ledger entry: a stable slug and the check."""
 
     slug: str
-    title: str
     run: Callable[[], str]
 
 
@@ -403,19 +402,19 @@ def _property_sweeps() -> str:
 
 
 CRITERIA: tuple[Criterion, ...] = (
-    Criterion("antipode", "conjugation and composition identities", _antipode_identities),
-    Criterion("duality", "shifted dual swaps the two extensions", _joker_duality),
-    Criterion("doubling", "doubles match the cyclic presentations", _doubling_presentations),
-    Criterion("presentations", "minimal presentation degrees", _presentation_degrees),
-    Criterion("sphere-chart", "sphere chart spot checks", _sphere_chart),
-    Criterion("detection", "detection classes for the whiskered towers", _detection_classes),
-    Criterion("wall-relation", "defining relation of joker(2) acts as zero", _wall_relation),
-    Criterion("extensions", "whole-algebra structure counts", _extension_counts),
-    Criterion("unstable", "characteristic-class quotients match the towers", _unstable_quotients),
-    Criterion("tensor-cells", "cell-complex tensors give the whiskered modules", _tensor_cells),
-    Criterion("coaction", "top-class coaction transcripts", _coactions),
-    Criterion("obstruction", "non-realizability certificates for n >= 4", _obstruction_reports),
-    Criterion("properties", "algebra, resolution, and catalogue sweeps", _property_sweeps),
+    Criterion("antipode", _antipode_identities),
+    Criterion("duality", _joker_duality),
+    Criterion("doubling", _doubling_presentations),
+    Criterion("presentations", _presentation_degrees),
+    Criterion("sphere-chart", _sphere_chart),
+    Criterion("detection", _detection_classes),
+    Criterion("wall-relation", _wall_relation),
+    Criterion("extensions", _extension_counts),
+    Criterion("unstable", _unstable_quotients),
+    Criterion("tensor-cells", _tensor_cells),
+    Criterion("coaction", _coactions),
+    Criterion("obstruction", _obstruction_reports),
+    Criterion("properties", _property_sweeps),
 )
 
 BY_SLUG: dict[str, Criterion] = {c.slug: c for c in CRITERIA}

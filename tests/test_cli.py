@@ -356,6 +356,21 @@ def test_resolve_algebra_mismatch(capsys):
     assert "not a module over" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["chart", "resolve"])
+def test_algebra_option_takes_ascii_digits_only(capsys, command):
+    assert main([command, "joker", "--algebra", "A(١)"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "steen: --algebra: bad algebra 'A(١)'; use A or A(n)\n")
+
+
+def test_a_file_with_a_non_ascii_degree_is_refused_on_its_line(tmp_path, capsys):
+    path = tmp_path / "m.mod"
+    path.write_text("module m over A(1)\ngen a 0\ngen b ٢\nsq 2 a = b\n", encoding="utf-8")
+    for command in ("validate", "show"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", "steen: line 3: bad degree '٢'\n")
+
+
 def test_resolve_restricts_whole_algebra_modules(capsys):
     assert main(["resolve", "joker0", "--algebra", "A(1)", "--smax", "2", "--tmax", "8"]) == 0
     assert "d 0 g0_0" in capsys.readouterr().out

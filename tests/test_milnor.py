@@ -18,6 +18,7 @@ from oracles import (
     reference_product_monomials,
     unit,
     verschiebung,
+    xi_monomials,
 )
 from steen.milnor import (
     DEGREE_CAP,
@@ -349,6 +350,39 @@ def test_a_huge_subalgebra_agrees_with_a_in_low_degrees():
     assert huge.generator_exponents(100) == FULL_A.generator_exponents(100) == list(range(7))
     assert huge.contains((1 << 40, 1 << 39))
     assert an(2).sq_bound(100) == 7 and huge.sq_bound(100) == 100
+
+
+def _profile_allows(n: int | None, i: int, r: int) -> bool:
+    # Adams-Margolis: slot i of A(n) holds r < 2^(n+2-i), and only 0 past slot n+1
+    return n is None or r == 0 or (i <= n + 1 and r < 2 ** (n + 2 - i))
+
+
+def test_the_exponent_rule_matches_a_brute_force_profile():
+    monomials = {d: xi_monomials(d) for d in range(32)}
+    for algebra in (FULL_A, *map(an, range(7))):
+        n = algebra.n
+        slots = 5 if n is None else n + 3
+        edges = {(1 << k) + delta for k in range(slots + 1) for delta in (-1, 0, 1)}
+        for i in range(1, slots + 1):
+            for d in sorted(set(range(40)) | edges):
+                brute = max(r for r in range(d + 1) if _profile_allows(n, i, r))
+                assert algebra.exponent_bound(i, d) == brute, (algebra, i, d)
+                if i == 1:
+                    assert algebra.sq_bound(d) == brute, (algebra, d)
+                m = (0,) * (i - 1) + (d,) if d else ()
+                assert algebra.contains(m) == _profile_allows(n, i, d), (algebra, m)
+        for d, ms in monomials.items():
+            inside = [m for m in ms if all(_profile_allows(n, i, r) for i, r in enumerate(m, 1))]
+            assert all(algebra.contains(m) for m in inside)
+            assert enumerate_basis(algebra, d) == tuple(sorted(inside)), (algebra, d)
+
+
+def test_the_exponent_rule_never_shifts_by_a_huge_n():
+    n = 10**11
+    huge = an(n)
+    assert huge.exponent_bound(1, 1 << 200) == huge.sq_bound(1 << 200) == 1 << 200
+    assert huge.exponent_bound(n + 1, 5) == 1
+    assert huge.exponent_bound(n + 2, 5) == huge.exponent_bound(n + 3, 1) == 0
 
 
 def test_an_membership_matches_enumeration():

@@ -119,6 +119,22 @@ def test_parse_errors():
             parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("module m over A(١)\ngen a 0\n", "line 1: bad algebra 'A(١)'; use A or A(n)"),
+        ("module m over A(1)\ngen a 0\ngen b ٢\n", "line 3: bad degree '٢'"),
+        ("module m over A(1)\ngen a 0\ngen b 2\nsq ٢ a = b\n", "line 4: bad operation '٢'"),
+    ],
+    ids=["algebra", "degree", "operation"],
+)
+def test_integers_are_ascii_decimal(text, message):
+    # int() reads any Unicode decimal digit; the format takes 0-9 only
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message
+
+
 def test_error_messages_carry_line_numbers():
     text = "module m over A\ngen a 0\n\n# comment\nsq 1 a = zz\n"
     with pytest.raises(ValueError, match="line 5"):
