@@ -168,10 +168,14 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
     whose multinomial is already even is dropped at once, and every matrix
     that is completed is kept with t_n = diag[n].  Rows i = 1..p are filled
     left to right, x[i][0] takes what is left of r_i, and row 0 takes what
-    is left of each column.
+    is left of each column.  A one-row r = (a,), as in every column of
+    generator_matrix, has a single row to fill, and `_one_row_product`
+    fills it without the recursion.
     """
     if not r or not s:
         return frozenset({r if not s else s})
+    if len(r) == 1:
+        return _one_row_product(r[0], s)
     p, q = len(r), len(s)
     out: set[Monomial] = set()
     diag = [0] * (p + q + 1)  # running OR of anti-diagonal n = i + j
@@ -216,6 +220,36 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
     return frozenset(out)
 
 
+def _one_row_product(a: int, s: Monomial) -> frozenset[Monomial]:
+    """Sq(a) Sq(s), the case p = 1 of the matrix-sum formula.
+
+    Row 1 is x_0, x_1, ..., x_q with a = sum_j 2^j x_j and x_j <= s_j; row 0
+    holds s_j - x_j.  So anti-diagonal n >= 2 holds x_(n-1) and s_n - x_n,
+    anti-diagonal 1 holds x_0 and s_1 - x_1, and q + 1 holds x_q alone.
+    x_q, ..., x_1 are chosen from the top down, each sharing no digit with
+    the entry it meets, and x_0 is what is left of a.  A term fixes its
+    matrix (t_(q+1) = x_q, then t_n = x_(n-1) + s_n - x_n), so no two
+    matrices cancel.
+    """
+    # partial matrices: (what x_j, ..., x_q leave of a, s_j - x_j, t_(j+1), ..., t_(q+1)),
+    # the t without trailing zeros: t_q >= s_q > 0 when x_q = 0, so only t_(q+1) can be one
+    partial: list[tuple[int, int, Monomial]] = [(a, 0, ())]
+    for j in range(len(s), 0, -1):
+        sj = s[j - 1]
+        grown = []
+        for rem, c, tail in partial:
+            top = rem >> j
+            if top > sj:
+                top = sj
+            v = 0
+            while v <= top:  # v runs over the values sharing no digit with c
+                t = v | c
+                grown.append((rem - (v << j), sj - v, (t,) + tail if t or tail else ()))
+                v = (t + 1) & ~c
+        partial = grown
+    return frozenset((rem | c,) + tail for rem, c, tail in partial if not rem & c)
+
+
 def milnor_product(a: Element, b: Element) -> Element:
     """Product in the Milnor basis, exact mod 2."""
     acc: set[Monomial] = set()
@@ -258,7 +292,7 @@ def _admissible_data(d: int) -> tuple[tuple[Word, ...], Echelon, dict[Monomial, 
     """Echelon of admissible-word expansions over the degree-d Milnor basis."""
     words = admissible_words(d)
     index = basis_index(full_a(), d)
-    ech = Echelon()
+    ech = Echelon(len(index))
     ech.extend(sum(1 << index[m] for m in sq_word(word).monomials) for word in words)
     return words, ech, index
 
@@ -484,19 +518,22 @@ def _expansion_table(algebra: Algebra, d: int) -> tuple[tuple, int]:
     Returns (products, size): each product (e, i', targets) is a term
     Sq(2^e) Sq(x'_i') of Sq(x_i) for every i in targets, x_i the i-th of the
     size monomials of enumerate_basis(algebra, d) and x'_i' the i'-th of
-    enumerate_basis(algebra, d - 2^e).  Sq(2^e) is dual to the primitive
+    enumerate_basis(algebra, d - 2^e).  The products are sorted by (e, i'),
+    so those of each Sq(2^e) come in one run.  Sq(2^e) is dual to the primitive
     xi_1^(2^e), so it is a term of no product of positive-degree elements,
     and the elimination gives it itself as its expansion.  Positive degrees
     only.
     """
-    spanning: list[tuple[int, int]] = []
-    ech = Echelon()
-    for e in algebra.generator_exponents(d):
-        for i2, vec in enumerate(generator_matrix(algebra, e, d - (1 << e))):
-            ech.add(vec, 1 << len(spanning))
-            spanning.append((e, i2))
-    targets: dict[int, list[int]] = {}  # spanning index -> monomials it is a term of
     basis = enumerate_basis(algebra, d)
+    spanning: list[tuple[int, int]] = []
+    columns: list[int] = []
+    for e in algebra.generator_exponents(d):
+        matrix = generator_matrix(algebra, e, d - (1 << e))
+        spanning.extend((e, i2) for i2 in range(len(matrix)))
+        columns.extend(matrix)
+    ech = Echelon(len(basis))
+    ech.extend(columns)  # column c enters with tag 1 << c
+    targets: dict[int, list[int]] = {}  # spanning index -> monomials it is a term of
     for i, m in enumerate(basis):
         residual, combo = ech.reduce(1 << i)
         if residual:
@@ -505,7 +542,8 @@ def _expansion_table(algebra: Algebra, d: int) -> tuple[tuple, int]:
             )
         for c in bits(combo):
             targets.setdefault(c, []).append(i)
-    return tuple((*spanning[c], tuple(ms)) for c, ms in targets.items()), len(basis)
+    products = tuple((*spanning[c], tuple(targets[c])) for c in sorted(targets))
+    return products, len(basis)
 
 
 class FreeMap:
@@ -552,21 +590,29 @@ class FreeMap:
         return out
 
     def block(self, a: int, k: int) -> list[int]:
-        """Images of Sq(x) g_a for the monomials x of degree k."""
+        """Images of Sq(x) g_a for the monomials x of degree k.
+
+        The plan lists the products of each Sq(2^e) in one run, so the lower
+        block and the matrix they read are fetched once per e.
+        """
         hit = self._blocks.get((a, k))
         if hit is not None:
             return hit
         ta = self.degrees[a]
         products, size = _expansion_table(self.algebra, k)
         hit = [0] * size
+        run = None  # the e of the current run
         for e, i, targets in products:
-            low = self.block(a, k - (1 << e))[i]
-            matrix = self.matrix(e, ta + k - (1 << e))
+            if e != run:
+                run = e
+                lows = self.block(a, k - (1 << e))
+                matrix = self.matrix(e, ta + k - (1 << e))
+            low = lows[i]
             image = 0
             while low:
-                bit = low & -low
-                image ^= matrix[bit.bit_length() - 1]
-                low ^= bit
+                top = low.bit_length() - 1
+                image ^= matrix[top]
+                low ^= 1 << top
             for m in targets:
                 hit[m] ^= image
         self._blocks[(a, k)] = hit

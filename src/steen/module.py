@@ -503,10 +503,11 @@ def cyclic_quotient(
     ideal: list[Echelon] = []
     full = 0  # consecutive degrees, up to d, where the ideal is everything
     for d in range(algebra.top_degree + 1):
-        ech = Echelon()
+        size = len(enumerate_basis(algebra, d))
+        ech = Echelon(size)
         ech.extend(image.columns(d))
         ideal.append(ech)
-        full = full + 1 if ech.rank == len(enumerate_basis(algebra, d)) else 0
+        full = full + 1 if ech.rank == size else 0
         if full == 1 << algebra.n:
             break
 

@@ -138,9 +138,7 @@ class _FreeModule:
             hit = []
             for j, tj in enumerate(self.degrees[: len(self.offsets(u)) - 1]):
                 shift = target[j]
-                hit.extend(
-                    col << shift for col in generator_matrix(self.algebra, e, u - tj)
-                )
+                hit.extend(map(shift.__rlshift__, generator_matrix(self.algebra, e, u - tj)))
             self._matrices[(e, u)] = hit
         return hit
 
@@ -184,6 +182,7 @@ def minimal_resolution(
     # target of d_s; at stage 0 they are the unit vectors of M
     cycles = {t: [1 << i for i in M.basis_at(t)] for t in range(M.bottom, t_max + 1)}
     d = FreeMap(algebra, lambda e, u: M.table(1 << e))
+    target = None  # C_(s-1), the target of d_s for s > 0
     for s in range(s_max + 1):
         values: list[int] = []
         following: dict[int, list[int]] = {}
@@ -191,7 +190,7 @@ def minimal_resolution(
             combos = cycles[t]
             if s == s_max and not combos:
                 continue
-            span = Echelon()
+            span = Echelon(target.offsets(t)[-1] if s else M.dim)
             following[t] = span.extend(d.columns(t))
             if len(combos) == span.rank:
                 # the image lies in the span of the combos (a kernel basis,
@@ -204,7 +203,8 @@ def minimal_resolution(
                     d.add(t, values[-1])
         res.degrees.append(d.degrees)
         res.values.append(values)
-        d = FreeMap(algebra, _FreeModule(algebra, d.degrees).matrix)
+        target = _FreeModule(algebra, d.degrees)
+        d = FreeMap(algebra, target.matrix)
         cycles = following
     return res
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ def xor_combo(rows, combo):
 
 def solve(rows, target):
     """A combo c with XOR of rows[i] over bits i of c equal to target, or None."""
-    ech = Echelon()
+    ech = Echelon(max([*rows, target]).bit_length())
     ech.extend(rows)
     residual, combo = ech.reduce(target)
     return combo if residual == 0 else None
@@ -40,7 +41,7 @@ def test_rank_examples():
 
 
 def test_echelon_reduce_membership():
-    ech = Echelon()
+    ech = Echelon(3)
     ech.add(0b110)
     ech.add(0b011)
     assert ech.reduce(0b101)[0] == 0
@@ -54,19 +55,20 @@ def assert_forward_echelon(ech):
     stored = list(ech._rows.items())  # in the order the rows were stored
     pivots = [pivot for pivot, _ in stored]
     assert len(set(pivots)) == len(stored)
-    for n, (pivot, (row, _)) in enumerate(stored):
+    for n, (pivot, packed) in enumerate(stored):
+        row = packed & ((1 << ech._width) - 1)  # the tag sits above the width
         assert row & -row == pivot
         assert not any(row & earlier for earlier in pivots[:n])
 
 
 def test_echelon_rows_keep_the_forward_invariant():
-    ech = Echelon()
+    ech = Echelon(4)
     for row in [0b1110, 0b0111, 0b1001, 0b1111]:
         ech.add(row)
     assert_forward_echelon(ech)
     assert ech.pivots() == [0, 1, 3]
     # older rows keep a later pivot: nothing back-substitutes 0b1000
-    assert ech._rows[0b10][0] == 0b1110 and ech._rows[0b1][0] == 0b1001
+    assert ech._rows[0b10] & 0b1111 == 0b1110 and ech._rows[0b1] & 0b1111 == 0b1001
 
 
 def test_kernel_combos_annihilate():
@@ -127,7 +129,7 @@ def tagged_rows(draw):
     st.lists(st.integers(0, (1 << 48) - 1), max_size=8),
 )
 def test_echelon_matches_the_row_walking_reference(entries, probe, more):
-    ech, ref = Echelon(), RowWalkingEchelon()
+    ech, ref = Echelon(48), RowWalkingEchelon()
     for vec, tag in entries:
         assert ech.reduce(vec, tag) == ref.reduce(vec, tag)
         assert ech.add(vec, tag) == ref.add(vec, tag)
@@ -143,3 +145,24 @@ def test_echelon_matches_the_row_walking_reference(entries, probe, more):
     assert_forward_echelon(ech)
     assert kernel(vecs) == reference_kernel(vecs)
     assert rank(vecs) == reference_rank(vecs)
+
+
+def test_echelon_refuses_a_vector_as_wide_as_its_width():
+    # bit 4 would land in the tags, so all three entry points refuse it
+    ech = Echelon(4)
+    ech.add(0b1)
+    for call in (ech.reduce, ech.add, lambda vec: ech.extend([0b10, vec])):
+        with pytest.raises(ValueError, match="width 4"):
+            call(0b10000)
+    # extend kept the row it stored before the refusal, and the mask with it
+    assert ech.pivots() == [0, 1]
+    assert ech.reduce(0b11) == (0, 0b1)  # 0b10 came in with the tag 1 << 0
+    assert ech.add(0b1111) == (0b1100, 0b1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 64).flatmap(lambda w: st.integers(0, (1 << w) - 1)), max_size=30))
+def test_rank_and_kernel_take_their_width_from_the_rows(rows):
+    # rows of mixed widths: the widest one sets the echelon's width
+    assert kernel(rows) == reference_kernel(rows)
+    assert rank(rows) == reference_rank(rows)

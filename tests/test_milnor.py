@@ -142,6 +142,10 @@ def test_pruned_kernel_matches_the_whole_matrix_enumerator():
     for algebra in (an(1), an(2), an(3)):
         pairs += _one_row_pairs(algebra, algebra.top_degree)
     pairs += _one_row_pairs(an(4), 40)  # all of A(4) is the slow test below
+    # the one-row case Sq(k) Sq(s), k >= 1 not only 2^e, with k + |s| <= 32
+    pairs += [
+        ((k,), s) for d in range(1, 32) for s in milnor_basis(d) for k in range(1, 33 - d)
+    ]
     for r, s in pairs:
         assert kernel(r, s) == reference_product_monomials(r, s), (r, s)
 
@@ -152,6 +156,24 @@ def test_pruned_kernel_matches_on_all_of_a4():
     A4 = an(4)
     for r, s in _one_row_pairs(A4, A4.top_degree):
         assert kernel(r, s) == reference_product_monomials(r, s), (r, s)
+
+
+@pytest.mark.parametrize(
+    "algebra, top",
+    [(FULL_A, 40)]
+    + [(an(n), 64) for n in range(4)]
+    + [pytest.param(algebra, 64, marks=pytest.mark.slow) for algebra in (FULL_A, an(4), an(5))],
+    ids=str,
+)
+def test_generator_columns_match_the_whole_matrix_enumerator(algebra, top):
+    # every column Sq(2^e) Sq(x) of generator_matrix with |x| + 2^e <= top
+    for d in range(top):
+        for e in algebra.generator_exponents(top - d):
+            index = basis_index(algebra, d + (1 << e))
+            columns = generator_matrix(algebra, e, d)
+            for x, column in zip(enumerate_basis(algebra, d), columns):
+                terms = reference_product_monomials((1 << e,), x)
+                assert column == sum(1 << index[t] for t in terms), (algebra, e, x)
 
 
 def test_associativity_exhaustive_low_degrees():
@@ -538,6 +560,31 @@ def test_expansion_table_reassembles():
                     rest = enumerate_basis(algebra, d - (1 << e))[i]
                     acc = acc + sq(1 << e) * sq(*rest)
                 assert acc == Element([m]), (algebra.name, m)
+
+
+def test_expansion_products_are_sorted_by_exponent():
+    # so FreeMap.block meets each e in one run
+    for algebra in (FULL_A, an(1), an(2), an(3), an(4)):
+        for d in range(1, 25):
+            products = [(e, i) for e, i, _ in _expansion_table(algebra, d)[0]]
+            assert products == sorted(products), (algebra.name, d)
+
+
+def test_free_map_fetches_each_matrix_once_per_block():
+    for algebra in (FULL_A, an(2)):
+        calls = []
+
+        def matrix(e, u):
+            calls.append((e, u))
+            return generator_matrix(algebra, e, u)
+
+        f = FreeMap(algebra, matrix)
+        f.add(3, 1)
+        for k in range(1, 21):
+            calls.clear()  # the blocks below k are cached by now
+            f.block(0, k)
+            exponents = sorted({e for e, _, _ in _expansion_table(algebra, k)[0]})
+            assert calls == [(e, 3 + k - (1 << e)) for e in exponents], (algebra.name, k)
 
 
 def test_each_generator_is_its_own_expansion():

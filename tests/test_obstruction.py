@@ -9,7 +9,7 @@ import pytest
 
 from steen.catalogue import get_module
 from steen.milnor import basis_count, enumerate_basis, full_a
-from steen.module import double
+from steen.module import double, trivial_module
 from steen.obstruction import (
     _alpha_vanishes,
     admissible_pairs,
@@ -18,6 +18,7 @@ from steen.obstruction import (
     obstruction_report,
     report_lines,
 )
+from steen.resolution import minimal_resolution
 
 
 def test_admissible_pairs():
@@ -129,6 +130,14 @@ def test_term_degree_bookkeeping():
         for t in R.terms:
             assert t.phi_degree + t.alpha_degree == R.u_degree + (1 << (R.k + 1))
             assert 1 <= t.alpha_degree <= (1 << (R.k + 1)) - 1
+
+
+def test_admissible_pairs_are_the_sphere_ext2():
+    # Adams: Ext^(2,t) over A has one class h_i h_j per admissible pair, at
+    # t = 2^i + 2^j, and nothing else, so the resolver confirms the term list
+    R = minimal_resolution(full_a(), trivial_module(full_a()), 2, 32)
+    ranks = {t: R.rank(2, t) for t in range(33) if R.rank(2, t)}
+    assert ranks == {(1 << i) + (1 << j): 1 for i, j in admissible_pairs(4)}
 
 
 def test_machine_lines():

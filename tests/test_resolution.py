@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from functools import lru_cache
 
@@ -298,6 +299,21 @@ def test_dump_format():
         "d 2 g2_0 = Sq(1) g1_0\n"
         "d 2 g2_1 = Sq(2,1) g1_0\n"
     )
+
+
+# sha256 of the printed resolutions at (s, t) <= (16, 40).  A chart shows only
+# ranks and h_i lines, so a changed residual or generator choice shows here.
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("sphere", "3b1ee943ad127618a8d35d1378de37fd67b0938b5a2cd2aedbbca17abb749fa9"),
+        ("joker(3)", "2089c611353a4fa8c2b4c06d2d213f4e4bcb0ee684a80bc0c7daa64005f1fa97"),
+    ],
+)
+def test_printed_resolution_keeps_its_bytes(name, digest):
+    M = sphere(full_a()) if name == "sphere" else get_module(name)
+    dump = dump_resolution(minimal_resolution(M.algebra, M, 16, 40))
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 def test_minimality_no_unit_entries():
