@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from steen.gf2 import Echelon, bits
+from steen.gf2 import TopEchelon, bits
 
 __all__ = [
     "Algebra",
@@ -288,13 +288,12 @@ def admissible_words(d: int) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
-def _admissible_data(d: int) -> tuple[tuple[Word, ...], Echelon, dict[Monomial, int]]:
-    """Echelon of admissible-word expansions over the degree-d Milnor basis."""
+def _admissible_data(d: int) -> tuple[tuple[Word, ...], TopEchelon, dict[Monomial, int]]:
+    """Elimination of admissible-word expansions over the degree-d Milnor basis."""
     words = admissible_words(d)
     index = basis_index(full_a(), d)
-    ech = Echelon(len(index))
-    ech.extend(sum(1 << index[m] for m in sq_word(word).monomials) for word in words)
-    return words, ech, index
+    expansions = [sum(1 << index[m] for m in sq_word(word).monomials) for word in words]
+    return words, TopEchelon(expansions), index
 
 
 def to_admissible(a: Element) -> tuple[Word, ...]:
@@ -531,8 +530,7 @@ def _expansion_table(algebra: Algebra, d: int) -> tuple[tuple, int]:
         matrix = generator_matrix(algebra, e, d - (1 << e))
         spanning.extend((e, i2) for i2 in range(len(matrix)))
         columns.extend(matrix)
-    ech = Echelon(len(basis))
-    ech.extend(columns)  # column c enters with tag 1 << c
+    ech = TopEchelon(columns)  # column c enters with tag 1 << c
     targets: dict[int, list[int]] = {}  # spanning index -> monomials it is a term of
     for i, m in enumerate(basis):
         residual, combo = ech.reduce(1 << i)

@@ -504,7 +504,7 @@ def cyclic_quotient(
     full = 0  # consecutive degrees, up to d, where the ideal is everything
     for d in range(algebra.top_degree + 1):
         size = len(enumerate_basis(algebra, d))
-        ech = Echelon(size)
+        ech = Echelon()
         ech.extend(image.columns(d))
         ideal.append(ech)
         full = full + 1 if ech.rank == size else 0
@@ -537,7 +537,7 @@ def cyclic_quotient(
             if d + k > span:
                 continue
             column = generator_matrix(algebra, e, d)[c]
-            for c2 in bits(ideal[d + k].reduce(column)[0]):
+            for c2 in bits(ideal[d + k].reduce(column)):
                 rows[i] |= 1 << positions[(d + k, c2)]
         tables[k] = tuple(rows)
     return FiniteModule(name, algebra, tuple(ids), degrees, tables)

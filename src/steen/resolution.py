@@ -9,18 +9,29 @@ target of d_0 is the module itself, whose bitsets are global, so its Sq(2^e)
 tables serve every degree; the target of d_s for s > 0 is C_(s-1) in block
 order, and `_FreeModule` gives its matrices.
 
-Every stage runs the same loop.  Each set of degree-t columns of d_s goes
-through one elimination.  Column i enters the echelon with tag 1 << i, so
-every dependent column leaves a combo in the kernel of d_s: these combos are
-the cycles at (s+1, t).  They are the combos a separate kernel of all
-degree-t columns would give, since the generators of C_s added at t come
-last in block order and are independent of the columns before them.  The
-candidates at (s, t) are the cycles of stage s-1, and at stage 0 the unit
-vectors of the module in degree t; each candidate outside the span so far
-becomes a generator, valued at its unit vector at stage 0 and its residual
-after; `Resolution.terms` decodes them for dumps, charts and checks.  The
-echelon never back-substitutes; its residuals, combos and pivots depend only
-on the row space.
+Every stage runs the same loop.  The degree-t columns of d_s go through one
+`TopEchelon`, column i with tag 1 << i, so every dependent column leaves a
+combo in the kernel of d_s: these combos are the cycles at (s+1, t).  They
+are the combos a separate kernel of all degree-t columns would give, since
+the generators of C_s added at t come last in block order and are
+independent of the columns before them.  The candidates at (s, t) are the
+cycles of stage s-1, and at stage 0 the unit vectors of the module in
+degree t.  A candidate c_k outside the span of the image B and the
+candidates before it becomes a generator, valued at its unit vector at
+stage 0 and after that at its residual against that span in an `Echelon`,
+whose residuals depend only on the row space; `Resolution.terms` decodes
+them for dumps, charts and checks.
+
+The top-bit rule.  The candidates have strictly increasing top bits
+(ascending unit vectors, or kernel combos), and B lies in their span, so
+c_k lies in the span of B and the earlier candidates exactly when some b in
+B has top(b) = top(c_k):
+- such a b is c_k plus earlier candidates, so c_k is b plus them;
+- if c_k = b + z, z spanned by earlier candidates, then top(b) = top(c_k).
+The top bits of B are those of the `TopEchelon`'s rows.  So only an (s, t)
+with new generators builds the `Echelon` of B, and only the new generators
+are added to it; the skipped candidates lie in the span so far, so each
+residual is the one that adding every candidate in turn would give.
 
 Each column is the same element in the same basis as a direct product
 Sq(x) * d_s(g_a) would give, so the kernel combinations, the chosen
@@ -34,7 +45,7 @@ from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
 # kernel stays bound, unused: bench/tests/test_bench.py asserts the tracer wraps it
-from steen.gf2 import Echelon, bits, kernel
+from steen.gf2 import Echelon, TopEchelon, bits, kernel
 from steen.milnor import (
     DEGREE_CAP,
     Algebra,
@@ -182,7 +193,6 @@ def minimal_resolution(
     # target of d_s; at stage 0 they are the unit vectors of M
     cycles = {t: [1 << i for i in M.basis_at(t)] for t in range(M.bottom, t_max + 1)}
     d = FreeMap(algebra, lambda e, u: M.table(1 << e))
-    target = None  # C_(s-1), the target of d_s for s > 0
     for s in range(s_max + 1):
         values: list[int] = []
         following: dict[int, list[int]] = {}
@@ -190,21 +200,23 @@ def minimal_resolution(
             combos = cycles[t]
             if s == s_max and not combos:
                 continue
-            span = Echelon(target.offsets(t)[-1] if s else M.dim)
-            following[t] = span.extend(d.columns(t))
+            span = TopEchelon(d.columns(t))
+            following[t] = span.kernel()
             if len(combos) == span.rank:
                 # the image lies in the span of the combos (a kernel basis,
                 # or M_t at stage 0), so it is all of it: no new generators
                 continue
-            for combo in combos:
-                residual = span.add(combo)[0]
-                if residual:
-                    values.append(residual if s else combo)
-                    d.add(t, values[-1])
+            # the top-bit rule: a candidate whose top bit no boundary has is new
+            new = [combo for combo in combos if not span.has_top(combo)]
+            image = Echelon()
+            image.extend(span.basis())
+            for combo in new:
+                residual = image.add(combo)
+                values.append(residual if s else combo)
+                d.add(t, values[-1])
         res.degrees.append(d.degrees)
         res.values.append(values)
-        target = _FreeModule(algebra, d.degrees)
-        d = FreeMap(algebra, target.matrix)
+        d = FreeMap(algebra, _FreeModule(algebra, d.degrees).matrix)  # d_(s+1), onto C_s
         cycles = following
     return res
 

@@ -5,8 +5,8 @@ products through the dual Hopf-algebra pairing, admissible rewriting through
 the Adem relations, the antipode through the conjugate dual generators, and
 Ext groups through the bar resolution.  Plain dict/set polynomial arithmetic
 throughout, and every elimination here runs on `RowWalkingEchelon`, so no
-oracle shares the package's `Echelon`.  The exceptions are thin lifts of
-package primitives that only the tests need (`verschiebung` over
+oracle shares the package's `Echelon` or `TopEchelon`.  The exceptions are
+thin lifts of package primitives that only the tests need (`verschiebung` over
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
@@ -33,10 +33,11 @@ sliding window instead of reading a cached Poincare series;
 `reference_product_monomials`, which fills in each whole Milnor matrix before
 testing its anti-diagonals instead of pruning entry by entry;
 `reference_associativity_triples`, which compares (xy)z and x(yz) one
-triple at a time instead of packing every z into one int; and `lambda_ext`,
-which reads the sphere's Ext over A as the homology of the lambda algebra
-(Bousfield, Curtis, Kan, Quillen, Rector and Schlesinger, Topology 5, 1966)
-instead of resolving F2, and calls no package code at all.
+triple at a time instead of packing every z into one int; and `lambda_ext`
+and `lambda_h_rank`, which read the sphere's Ext over A and the rank of each
+h_i multiplication as the homology of the lambda algebra (Bousfield, Curtis,
+Kan, Quillen, Rector and Schlesinger, Topology 5, 1966) instead of resolving
+F2, and call no package code at all.
 """
 
 from __future__ import annotations
@@ -375,8 +376,8 @@ def _lambda_admissible(word: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _lambda_d_rank(s: int, stem: int) -> int:
-    """Rank of d from (s, stem) to (s + 1, stem - 1), where
+def _lambda_d_rows(s: int, stem: int) -> tuple[int, ...]:
+    """d from (s, stem) to (s + 1, stem - 1), one bitset per basis word, where
     d lambda_n = sum_(j>=1) C(n-j, j) lambda_(n-j) lambda_(j-1), a derivation."""
     target = _lambda_basis(s + 1, stem - 1)
     rows = []
@@ -388,13 +389,39 @@ def _lambda_d_rank(s: int, stem: int) -> int:
                     for image in _lambda_admissible(word[:k] + (n - j, j - 1) + word[k + 1:]):
                         vec ^= 1 << target[image]
         rows.append(vec)
-    return reference_rank(rows)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _lambda_d_rank(s: int, stem: int) -> int:
+    """Rank of d from (s, stem) to (s + 1, stem - 1)."""
+    return reference_rank(_lambda_d_rows(s, stem))
 
 
 def lambda_ext(s: int, stem: int) -> int:
     """dim Ext_A^(s, s+stem)(F2, F2) as the homology of the lambda algebra."""
     cycles = len(_lambda_basis(s, stem)) - _lambda_d_rank(s, stem)
     return cycles - _lambda_d_rank(s - 1, stem + 1)
+
+
+def lambda_h_rank(i: int, s: int, stem: int) -> int:
+    """Rank of h_i, the class of the cycle lambda_(2^i - 1), multiplying
+    H(Lambda) from (s, stem) to (s + 1, stem + 2^i - 1): the rank of
+    lambda_(2^i - 1) Z + B less that of B, for Z the cycles at (s, stem) and
+    B the boundaries at the target."""
+    n = (1 << i) - 1
+    target = _lambda_basis(s + 1, stem + n)
+    words = list(_lambda_basis(s, stem))
+    boundaries = list(_lambda_d_rows(s, stem + n + 1))
+    products = []
+    for combo in reference_kernel(_lambda_d_rows(s, stem)):
+        vec = 0
+        for k, word in enumerate(words):
+            if combo >> k & 1:
+                for image in _lambda_admissible((n,) + word):
+                    vec ^= 1 << target[image]
+        products.append(vec)
+    return reference_rank(boundaries + products) - reference_rank(boundaries)
 
 
 def oracle_wu_bso3(r: int, m: int) -> frozenset[tuple[int, int]]:
@@ -494,13 +521,15 @@ def save(M, path) -> None:
 
 
 class RowWalkingEchelon:
-    """Reference for `Echelon`: the fully reduced form, walked row by row.
+    """Reference for `Echelon` and `TopEchelon`: the fully reduced form, walked row by row.
 
     Each add back-substitutes the new row into every stored row, so no row
     holds another row's pivot, and reduce walks every stored row in turn: a
     row acts exactly when its pivot is set in the vector at its turn.  The
     package's `Echelon` never back-substitutes; both report the same
-    residuals, combos and pivots, which depend only on the row space.
+    residuals and pivots, which depend only on the row space.  The tags
+    give the kernel combos `TopEchelon` reports, which depend only on the
+    order of the vectors.
     """
 
     def __init__(self) -> None:

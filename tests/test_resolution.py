@@ -12,7 +12,9 @@ from oracles import (
     differential_rank,
     free_basis,
     lambda_ext,
+    lambda_h_rank,
     oracle_ext_a1,
+    reference_rank,
     reference_resolution,
     reference_terms,
     stage_terms,
@@ -176,6 +178,31 @@ def test_sphere_matches_the_lambda_algebra(s_max, stem_max):
             assert R.rank(s, s + stem) == lambda_ext(s, stem), (s, stem)
 
 
+def test_h_lines_match_the_lambda_algebra():
+    """Each h_i line map of the sphere's chart has the rank of h_i on H(Lambda).
+
+    The lines come from the Sq(2^i) terms of the generators' values; the
+    lambda algebra multiplies cycles by lambda_(2^i - 1) instead, so every
+    map from (s, stem) to (s + 1, stem + 2^i - 1), i <= 3, s <= 5 and
+    stem <= 12, gets a second route.
+    """
+    s_max, stem_max = 5, 12
+    chart = ext_chart(minimal_resolution(full_a(), sphere(full_a()), s_max + 1, s_max + stem_max + 8))
+    nonzero = 0
+    for i in range(4):
+        for s in range(s_max + 1):
+            for stem in range(stem_max + 1):
+                t = s + stem
+                rows = [0] * chart.ranks.get((s, t), 0)
+                for k, (s1, t1, a), (s2, t2, b) in chart.h_lines:
+                    if k == i and (s1, t1, s2, t2) == (s, t, s + 1, t + (1 << i)):
+                        rows[a] |= 1 << b
+                r = reference_rank(rows)
+                assert r == lambda_h_rank(i, s, stem), (i, s, stem)
+                nonzero += r > 0
+    assert nonzero == 34
+
+
 def test_a1_sphere_is_the_ko_pattern():
     R = minimal_resolution(an(1), sphere(an(1)), 6, 14)
     expected = {(s, 0) for s in range(7)}
@@ -301,19 +328,43 @@ def test_dump_format():
     )
 
 
-# sha256 of the printed resolutions at (s, t) <= (16, 40).  A chart shows only
-# ranks and h_i lines, so a changed residual or generator choice shows here.
+# sha256 of the printed resolutions.  A chart shows only ranks and h_i lines,
+# so a changed residual or generator choice shows here.
 @pytest.mark.parametrize(
-    "name, digest",
+    "name, s_max, t_max, digest",
     [
-        ("sphere", "3b1ee943ad127618a8d35d1378de37fd67b0938b5a2cd2aedbbca17abb749fa9"),
-        ("joker(3)", "2089c611353a4fa8c2b4c06d2d213f4e4bcb0ee684a80bc0c7daa64005f1fa97"),
+        ("sphere", 16, 40, "3b1ee943ad127618a8d35d1378de37fd67b0938b5a2cd2aedbbca17abb749fa9"),
+        ("joker(3)", 16, 40, "2089c611353a4fa8c2b4c06d2d213f4e4bcb0ee684a80bc0c7daa64005f1fa97"),
+        ("joker(2)", 16, 64, "cf04ab5e2200bd47dbb92e9b3e346772d19b02e74782eb768f633ae69638cd74"),
+        ("joker0", 8, 30, "fd9ff2c9b18254b83dbec6c9d1c7956ec3c8fb9a761bea5db1403e7dc6c8a960"),
+        ("jokerP1", 8, 30, "5871563129a2f04f4ace2779687baeb6db9ac03d6066cd06f92ad4a4fbf91309"),
+        pytest.param(
+            "sphere",
+            8,
+            64,
+            "dcc994e17b8f90ac4a88d8f4407ced694ebc707417877d9bbd102786d8e12dde",
+            marks=pytest.mark.slow,
+        ),
     ],
 )
-def test_printed_resolution_keeps_its_bytes(name, digest):
+def test_printed_resolution_keeps_its_bytes(name, s_max, t_max, digest):
     M = sphere(full_a()) if name == "sphere" else get_module(name)
-    dump = dump_resolution(minimal_resolution(M.algebra, M, 16, 40))
+    dump = dump_resolution(minimal_resolution(M.algebra, M, s_max, t_max))
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+def test_echelon_add_runs_once_per_new_generator(monkeypatch):
+    """Only the candidates that become generators are reduced to residuals."""
+    added = []
+    add = resolution.Echelon.add
+
+    def spy(self, vec):
+        added.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(resolution.Echelon, "add", spy)
+    R = minimal_resolution(full_a(), sphere(full_a()), 6, 24)
+    assert len(added) == sum(len(stage) for stage in R.degrees)
 
 
 def test_minimality_no_unit_entries():
