@@ -168,14 +168,15 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
     whose multinomial is already even is dropped at once, and every matrix
     that is completed is kept with t_n = diag[n].  Rows i = 1..p are filled
     left to right, x[i][0] takes what is left of r_i, and row 0 takes what
-    is left of each column.  A one-row r = (a,), as in every column of
-    generator_matrix, has a single row to fill, and `_one_row_product`
-    fills it without the recursion.
+    is left of each column.  A one-row r = (a,) has a single row to fill,
+    and `_one_row_product` fills it without the recursion.  Cached, since
+    general products repeat; `generator_matrix` asks for each of its pairs
+    once, so it reads `_one_row_product` directly and leaves the cache alone.
     """
     if not r or not s:
         return frozenset({r if not s else s})
     if len(r) == 1:
-        return _one_row_product(r[0], s)
+        return frozenset(_one_row_product(r[0], s))
     p, q = len(r), len(s)
     out: set[Monomial] = set()
     diag = [0] * (p + q + 1)  # running OR of anti-diagonal n = i + j
@@ -220,8 +221,8 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
     return frozenset(out)
 
 
-def _one_row_product(a: int, s: Monomial) -> frozenset[Monomial]:
-    """Sq(a) Sq(s), the case p = 1 of the matrix-sum formula.
+def _one_row_product(a: int, s: Monomial) -> list[Monomial]:
+    """The terms of Sq(a) Sq(s), the case p = 1 of the matrix-sum formula.
 
     Row 1 is x_0, x_1, ..., x_q with a = sum_j 2^j x_j and x_j <= s_j; row 0
     holds s_j - x_j.  So anti-diagonal n >= 2 holds x_(n-1) and s_n - x_n,
@@ -229,7 +230,9 @@ def _one_row_product(a: int, s: Monomial) -> frozenset[Monomial]:
     x_q, ..., x_1 are chosen from the top down, each sharing no digit with
     the entry it meets, and x_0 is what is left of a.  A term fixes its
     matrix (t_(q+1) = x_q, then t_n = x_(n-1) + s_n - x_n), so no two
-    matrices cancel.
+    matrices cancel, and the terms come back as a list of distinct tuples.
+    It has two consumers: `_product_monomials`, which caches them as a set
+    for the general products, and `generator_matrix`, which sets their bits.
     """
     # partial matrices: (what x_j, ..., x_q leave of a, s_j - x_j, t_(j+1), ..., t_(q+1)),
     # the t without trailing zeros: t_q >= s_q > 0 when x_q = 0, so only t_(q+1) can be one
@@ -247,7 +250,7 @@ def _one_row_product(a: int, s: Monomial) -> frozenset[Monomial]:
                 grown.append((rem - (v << j), sj - v, (t,) + tail if t or tail else ()))
                 v = (t + 1) & ~c
         partial = grown
-    return frozenset((rem | c,) + tail for rem, c, tail in partial if not rem & c)
+    return [(rem | c,) + tail for rem, c, tail in partial if not rem & c]
 
 
 def milnor_product(a: Element, b: Element) -> Element:
@@ -499,12 +502,15 @@ def generator_matrix(algebra: Algebra, e: int, d: int) -> tuple[int, ...]:
 
     Column i is Sq(2^e) times the i-th monomial of enumerate_basis(algebra,
     d), as a bitset over the positions of enumerate_basis(algebra, d + 2^e).
+    Each (Sq(2^e), monomial) pair is asked for once, here, and the matrix is
+    cached whole, so the columns come straight from `_one_row_product`,
+    without the product cache or a set of terms.
     """
     index = basis_index(algebra, d + (1 << e))
     columns = []
     for m in enumerate_basis(algebra, d):
         vec = 0
-        for t in _product_monomials(((1 << e),), m):
+        for t in _one_row_product(1 << e, m):
             vec ^= 1 << index[t]
         columns.append(vec)
     return tuple(columns)
@@ -591,7 +597,8 @@ class FreeMap:
         """Images of Sq(x) g_a for the monomials x of degree k.
 
         The plan lists the products of each Sq(2^e) in one run, so the lower
-        block and the matrix they read are fetched once per e.
+        block and the matrix they read are fetched once per e.  A lower image
+        that is 0 pushes nothing, so its product is skipped.
         """
         hit = self._blocks.get((a, k))
         if hit is not None:
@@ -606,6 +613,8 @@ class FreeMap:
                 lows = self.block(a, k - (1 << e))
                 matrix = self.matrix(e, ta + k - (1 << e))
             low = lows[i]
+            if not low:
+                continue
             image = 0
             while low:
                 top = low.bit_length() - 1

@@ -20,7 +20,7 @@ degree t.  A candidate c_k outside the span of the image B and the
 candidates before it becomes a generator, valued at its unit vector at
 stage 0 and after that at its residual against that span in an `Echelon`,
 whose residuals depend only on the row space; `Resolution.terms` decodes
-them for dumps, charts and checks.
+them for dumps and checks, and `ext_chart` reads its h_i lines off their bits.
 
 The top-bit rule.  The candidates have strictly increasing top bits
 (ascending unit vectors, or kernel combos), and B lies in their span, so
@@ -52,6 +52,7 @@ from steen.milnor import (
     Element,
     FreeMap,
     Monomial,
+    basis_index,
     enumerate_basis,
     generator_matrix,
     milnor_product,
@@ -100,16 +101,6 @@ class Resolution:
             raise ValueError(f"d_{s} has no terms: s must be at least 1")
         return self._free[s - 1].terms(self.degrees[s][a], self.values[s][a])
 
-    def rank(self, s: int, t: int) -> int:
-        if not 0 <= s < len(self.degrees):
-            return 0
-        return self.degrees[s].count(t)
-
-    def dot(self, s: int, j: int) -> tuple[int, int, int]:
-        """Chart coordinates (s, t, index among same-bidegree generators)."""
-        t = self.degrees[s][j]
-        return s, t, self.degrees[s][:j].count(t)
-
     def __repr__(self) -> str:
         sizes = ", ".join(str(len(d)) for d in self.degrees)
         return f"<resolution of {self.module.name}, stage sizes [{sizes}]>"
@@ -142,14 +133,20 @@ class _FreeModule:
         return hit
 
     def matrix(self, e: int, u: int) -> list[int]:
-        """Columns of Sq(2^e) from degree u to degree u + 2^e."""
+        """Columns of Sq(2^e) from degree u to degree u + 2^e.
+
+        Generator j's block is generator_matrix(algebra, e, u - t_j) shifted
+        to the start of its block in degree u + 2^e.  A block that starts at
+        0, as the first always does, is taken as it is, with no shift.
+        """
         hit = self._matrices.get((e, u))
         if hit is None:
             target = self.offsets(u + (1 << e))
             hit = []
             for j, tj in enumerate(self.degrees[: len(self.offsets(u)) - 1]):
+                columns = generator_matrix(self.algebra, e, u - tj)
                 shift = target[j]
-                hit.extend(map(shift.__rlshift__, generator_matrix(self.algebra, e, u - tj)))
+                hit.extend(map(shift.__rlshift__, columns) if shift else columns)
             self._matrices[(e, u)] = hit
         return hit
 
@@ -284,16 +281,38 @@ class ExtChart(NamedTuple):
 
 
 def ext_chart(R: Resolution) -> ExtChart:
+    """The ranks of Ext, and an h_i line for each Sq(2^i) term, i < 4, of a d_s.
+
+    The term Sq(2^i) g_(s-1),j of d_s(g_a) is one bit of the bitset
+    values[s][a]: the block of g_j starts at offsets(t_a)[j] in C_(s-1), and
+    Sq(2^i) sits at its position in enumerate_basis(algebra, 2^i).  So each
+    pair with t_a - t_j = 2^i tests that bit, and no term is decoded.  When
+    Sq(2^i) is not in the algebra it draws no line.
+    """
     ranks: dict[tuple[int, int], int] = {}
+    # per stage, the generators of each degree t in order: the index of g_a
+    # in its list is its dot's index among the generators of bidegree (s, t)
+    by_degree: list[dict[int, list[int]]] = []
     for s, degs in enumerate(R.degrees):
-        for t in degs:
-            ranks[(s, t)] = ranks.get((s, t), 0) + 1
+        groups: dict[int, list[int]] = {}
+        for a, t in enumerate(degs):
+            groups.setdefault(t, []).append(a)
+            ranks[(s, t)] = len(groups[t])
+        by_degree.append(groups)
+    units = [basis_index(R.algebra, 1 << i).get((1 << i,)) for i in range(4)]
     lines = []
     for s in range(1, len(R.degrees)):
-        for a in range(len(R.degrees[s])):
-            for j, x in R.terms(s, a):
-                if x in ((1,), (2,), (4,), (8,)):  # Sq(2^i) draws an h_i line
-                    lines.append((x[0].bit_length() - 1, R.dot(s - 1, j), R.dot(s, a)))
+        values, below = R.values[s], by_degree[s - 1]
+        for t, group in by_degree[s].items():
+            offsets = R._free[s - 1].offsets(t)
+            for i, unit in enumerate(units):
+                if unit is None:
+                    continue
+                for k, j in enumerate(below.get(t - (1 << i), ())):
+                    bit = offsets[j] + unit
+                    for b, a in enumerate(group):
+                        if values[a] >> bit & 1:
+                            lines.append((i, (s - 1, t - (1 << i), k), (s, t, b)))
     lines.sort()
     return ExtChart(ranks, lines, (R.s_max, R.t_max), min(0, R.module.bottom))
 

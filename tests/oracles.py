@@ -10,7 +10,7 @@ thin lifts of package primitives that only the tests need (`verschiebung` over
 `verschiebung_monomial`, `substitute_zeta` over `zeta_in_xi`, `coproduct`,
 `unit`, `serialize_json` (the JSON writer no command needs) and `save` over
 the module formats, and `apply`, `is_isomorphism` and `commutes_with` on
-module maps), and thirteen reference routes: the resolver,
+module maps), and fourteen reference routes: the resolver,
 which rebuilds minimal resolutions column by column from general Milnor
 products instead of the package's Sq(2^e) recurrence;
 `reference_tables`, which reads a double's tables from its own blocks
@@ -33,7 +33,10 @@ sliding window instead of reading a cached Poincare series;
 `reference_product_monomials`, which fills in each whole Milnor matrix before
 testing its anti-diagonals instead of pruning entry by entry;
 `reference_associativity_triples`, which compares (xy)z and x(yz) one
-triple at a time instead of packing every z into one int; and `lambda_ext`
+triple at a time instead of packing every z into one int;
+`reference_h_lines`, which decodes every term of every differential and
+keeps the Sq(2^i) ones instead of testing one bit per pair of generators;
+and `lambda_ext`
 and `lambda_h_rank`, which read the sphere's Ext over A and the rank of each
 h_i multiplication as the homology of the lambda algebra (Bousfield, Curtis,
 Kan, Quillen, Rector and Schlesinger, Topology 5, 1966) instead of resolving
@@ -1099,6 +1102,26 @@ def stage_terms(R):
     return [
         [list(R.terms(s, a)) for a in range(len(R.degrees[s]))] for s in range(1, len(R.degrees))
     ]
+
+
+def reference_h_lines(R):
+    """The chart's h_i lines, from every decoded term of every differential.
+
+    A term Sq(2^i) g_(s-1),j of d_s(g_a), i < 4, joins the dots of g_j and
+    g_a; a dot's index counts the generators of its bidegree before it.
+    """
+
+    def dot(s, j):
+        t = R.degrees[s][j]
+        return s, t, R.degrees[s][:j].count(t)
+
+    lines = []
+    for s in range(1, len(R.degrees)):
+        for a in range(len(R.degrees[s])):
+            for j, x in R.terms(s, a):
+                if x in ((1,), (2,), (4,), (8,)):
+                    lines.append((x[0].bit_length() - 1, dot(s - 1, j), dot(s, a)))
+    return sorted(lines)
 
 
 def free_basis(R, s, t):

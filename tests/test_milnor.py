@@ -176,6 +176,15 @@ def test_generator_columns_match_the_whole_matrix_enumerator(algebra, top):
                 assert column == sum(1 << index[t] for t in terms), (algebra, e, x)
 
 
+def test_generator_matrices_leave_the_product_cache_empty():
+    """Each (Sq(2^e), x) pair is asked for once, so its matrix skips the cache."""
+    _product_monomials.cache_clear()
+    for d in range(40):
+        for e in FULL_A.generator_exponents(40 - d):
+            generator_matrix.__wrapped__(FULL_A, e, d)
+    assert _product_monomials.cache_info().currsize == 0
+
+
 def test_associativity_exhaustive_low_degrees():
     monos = [m for m in monomials_up_to(8) if m]
     for r in monos:

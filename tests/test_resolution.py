@@ -14,6 +14,7 @@ from oracles import (
     lambda_ext,
     lambda_h_rank,
     oracle_ext_a1,
+    reference_h_lines,
     reference_rank,
     reference_resolution,
     reference_terms,
@@ -21,7 +22,7 @@ from oracles import (
 )
 from steen import resolution
 from steen.catalogue import get_module
-from steen.milnor import Element, an, full_a
+from steen.milnor import Element, an, full_a, generator_matrix
 from steen.module import FiniteModule, dualize, trivial_module
 from steen.resolution import (
     dump_resolution,
@@ -154,18 +155,18 @@ def test_resolution_checks_report_edited_differentials():
 
 
 def test_rank_stability():
-    small = minimal_resolution(an(1), sphere(an(1)), 5, 10)
-    large = minimal_resolution(an(1), sphere(an(1)), 5, 14)
+    small = ext_chart(minimal_resolution(an(1), sphere(an(1)), 5, 10)).ranks
+    large = ext_chart(minimal_resolution(an(1), sphere(an(1)), 5, 14)).ranks
     for s in range(6):
         for t in range(11):
-            assert small.rank(s, t) == large.rank(s, t)
+            assert small.get((s, t), 0) == large.get((s, t), 0)
 
 
 def test_a1_sphere_matches_bar_oracle():
-    R = minimal_resolution(an(1), sphere(an(1)), 6, 14)
+    ranks = ext_chart(minimal_resolution(an(1), sphere(an(1)), 6, 14)).ranks
     for s in range(7):
         for t in range(s + 9):
-            assert R.rank(s, t) == oracle_ext_a1(s, t), (s, t)
+            assert ranks.get((s, t), 0) == oracle_ext_a1(s, t), (s, t)
 
 
 @pytest.mark.parametrize(
@@ -173,9 +174,10 @@ def test_a1_sphere_matches_bar_oracle():
 )
 def test_sphere_matches_the_lambda_algebra(s_max, stem_max):
     R = minimal_resolution(full_a(), sphere(full_a()), s_max, s_max + stem_max)
+    ranks = ext_chart(R).ranks
     for s in range(s_max + 1):
         for stem in range(stem_max + 1):
-            assert R.rank(s, s + stem) == lambda_ext(s, stem), (s, stem)
+            assert ranks.get((s, s + stem), 0) == lambda_ext(s, stem), (s, stem)
 
 
 def test_h_lines_match_the_lambda_algebra():
@@ -204,7 +206,7 @@ def test_h_lines_match_the_lambda_algebra():
 
 
 def test_a1_sphere_is_the_ko_pattern():
-    R = minimal_resolution(an(1), sphere(an(1)), 6, 14)
+    ranks = ext_chart(minimal_resolution(an(1), sphere(an(1)), 6, 14)).ranks
     expected = {(s, 0) for s in range(7)}
     expected |= {(1, 1), (2, 2)}
     expected |= {(s, 4) for s in range(3, 7)}
@@ -213,10 +215,10 @@ def test_a1_sphere_is_the_ko_pattern():
         (s, t - s)
         for s in range(7)
         for t in range(15)
-        if R.rank(s, t) and t - s <= 8
+        if ranks.get((s, t), 0) and t - s <= 8
     }
     assert got == expected
-    assert all(R.rank(s, s) == 1 for s in range(7))
+    assert all(ranks.get((s, s), 0) == 1 for s in range(7))
 
 
 def test_sphere_chart_matches_golden_dots():
@@ -328,6 +330,68 @@ def test_dump_format():
     )
 
 
+@lru_cache(maxsize=None)
+def _window(name, s_max, t_max, algebra=None):
+    """A catalogue module resolved over its own algebra, or the sphere over
+    algebra (A when None)."""
+    M = sphere(full_a() if algebra is None else algebra) if name == "sphere" else get_module(name)
+    return minimal_resolution(M.algebra, M, s_max, t_max)
+
+
+@pytest.mark.parametrize(
+    "name, s_max, t_max, algebra",
+    [
+        ("sphere", 16, 40, None),
+        ("joker(3)", 16, 40, None),
+        ("joker(2)", 16, 64, None),
+        ("joker0", 8, 30, None),
+        ("jokerP1", 8, 30, None),
+        ("sphere", 16, 40, an(0)),
+        ("sphere", 16, 40, an(1)),
+    ],
+    ids=lambda v: str(v) if v is not None else "own",
+)
+def test_h_lines_match_the_decoded_terms(name, s_max, t_max, algebra):
+    """The h_i bits ext_chart tests are the Sq(2^i) terms of the values; over
+    A(0) and A(1) the Sq(2^i) outside the algebra draw nothing."""
+    R = _window(name, s_max, t_max, algebra)
+    lines = ext_chart(R).h_lines
+    assert lines == reference_h_lines(R)
+    top = 3 if R.algebra.n is None else min(R.algebra.n, 3)
+    assert {i for i, _, _ in lines} == set(range(top + 1))
+
+
+# sha256 of `chart --format svg`, the one output that draws the h_i lines
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("sphere", "a6defd6c193e856fa14a638e1bcd695ac8c478bd7028f418bc307468ec162b2d"),
+        ("joker(3)", "da1f03adbc896952457b63dc9b72a9d161e37d29ac60cf53e9a3b3a7125fbe4a"),
+    ],
+)
+def test_chart_svg_keeps_its_bytes(name, digest):
+    svg = emit_chart(ext_chart(_window(name, 16, 40)), "svg")
+    assert hashlib.sha256(svg).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["sphere", "joker(3)"])
+def test_free_module_matrix_shifts_every_block_to_its_offset(name):
+    """Sq(2^e) on C_s is generator_matrix per block, each shifted to the start
+    of its block in the target degree, the first block included."""
+    R = _window(name, 8, 24)
+    for free in R._free:
+        for u in range(R.t_max + 1):
+            for e in R.algebra.generator_exponents(R.t_max - u):
+                target = free.offsets(u + (1 << e))
+                expected = [
+                    column << target[j]
+                    for j, tj in enumerate(free.degrees)
+                    if tj <= u
+                    for column in generator_matrix(R.algebra, e, u - tj)
+                ]
+                assert free.matrix(e, u) == expected, (e, u)
+
+
 # sha256 of the printed resolutions.  A chart shows only ranks and h_i lines,
 # so a changed residual or generator choice shows here.
 @pytest.mark.parametrize(
@@ -348,8 +412,7 @@ def test_dump_format():
     ],
 )
 def test_printed_resolution_keeps_its_bytes(name, s_max, t_max, digest):
-    M = sphere(full_a()) if name == "sphere" else get_module(name)
-    dump = dump_resolution(minimal_resolution(M.algebra, M, s_max, t_max))
+    dump = dump_resolution(_window(name, s_max, t_max))
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
