@@ -15,7 +15,7 @@ from typing import Sequence
 
 from steen.catalogue import MODULE_NAMES, get_module
 from steen.config import T_MAX_DEFAULT, Config, config_problems, from_env
-from steen.modfile import load, parse_algebra, serialize
+from steen.modfile import integer, load, parse_algebra, serialize
 from steen.module import FiniteModule, double, dualize, tensor
 from steen.obstruction import format_report, obstruction_report, report_lines
 from steen.resolution import (
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("double", help="apply the degree-doubling functor")
     p.add_argument("module")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=integer)
     p.set_defaults(run=lambda args, cfg: _show(double(_load_module(args.module), args.k)))
 
     p = sub.add_parser("tensor", help="tensor two modules")
@@ -98,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     # the resolution window; each flag's dest is the Config field it overrides
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("module")
-    window.add_argument("--algebra", help="A or A(n); default: the module's own")
+    window.add_argument("--algebra", help="A or A(n) the module can be read over; default: its own")
     window.add_argument(
-        "--smax", dest="s_max", metavar="SMAX", type=int, help="homological bound"
+        "--smax", dest="s_max", metavar="SMAX", type=integer, help="homological bound"
     )
-    window.add_argument("--tmax", dest="t_max", metavar="TMAX", type=int, help=_TMAX_HELP)
+    window.add_argument("--tmax", dest="t_max", metavar="TMAX", type=integer, help=_TMAX_HELP)
 
     p = sub.add_parser("resolve", parents=[window], help="minimal free resolution, as text")
     p.set_defaults(run=_cmd_resolve)
@@ -115,11 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unstable", help="truncated characteristic-class quotient")
     p.add_argument("space", choices=SPACES)
     caps = " or ".join(str(3 << n) for _, n in SPACES.values())
-    p.add_argument("--cap", type=int, help=f"degree cap (default {caps})")
+    p.add_argument("--cap", type=integer, help=f"degree cap (default {caps})")
     p.set_defaults(run=_cmd_unstable)
 
     p = sub.add_parser("obstruction", help="non-realizability report for a tower")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
     p.set_defaults(run=_cmd_obstruction)
 
     p = sub.add_parser("verify-suite", help="run the acceptance ledger")

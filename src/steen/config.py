@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
+from steen.modfile import integer
 from steen.resolution import CHART_FORMATS, S_MAX_LIMIT, window_problems
 
 __all__ = ["Config", "ENV_PREFIX", "T_MAX_DEFAULT", "config_problems", "from_env"]
@@ -44,7 +45,7 @@ def from_env() -> Config:
             continue
         if isinstance(Config._field_defaults[name], int):
             try:
-                updates[name] = int(raw)
+                updates[name] = integer(raw)
             except ValueError:
                 raise ValueError(f"{key}: expected an integer, got {raw!r}") from None
         else:

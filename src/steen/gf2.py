@@ -66,20 +66,15 @@ class Echelon:
     def add(self, vec: int) -> int:
         """Insert vec if independent of the stored rows.
 
-        Returns reduce(vec), reduced by the same loop.  A zero residual means
-        vec was dependent and nothing was inserted; otherwise the residual is
-        stored under its lowest bit, and the older rows are left as they are.
+        Returns reduce(vec).  A zero residual means vec was dependent and
+        nothing was inserted; otherwise the residual is stored under its
+        lowest bit, and the older rows are left as they are.
         """
-        rows = self._rows
-        mask = self._mask
-        hits = vec & mask
-        while hits:
-            vec ^= rows[hits & -hits]
-            hits = vec & mask
+        vec = self.reduce(vec)
         if vec:
             pivot = vec & -vec
-            rows[pivot] = vec
-            self._mask = mask | pivot
+            self._rows[pivot] = vec
+            self._mask |= pivot
         return vec
 
     def extend(self, vecs: Iterable[int]) -> None:

@@ -29,7 +29,7 @@ from pathlib import Path
 from steen.milnor import Algebra, an, full_a
 from steen.module import FiniteModule, is_id
 
-__all__ = ["ParseError", "load", "parse", "parse_algebra", "parse_json", "serialize"]
+__all__ = ["ParseError", "integer", "load", "parse", "parse_algebra", "parse_json", "serialize"]
 
 _ALGEBRA_RE = re.compile(r"A(\(([0-9]+)\))?")
 
@@ -42,12 +42,20 @@ class ParseError(ValueError):
         self.where = where
 
 
-def _number(digits: str) -> int | None:
-    """int(digits), or None for more digits than int() converts."""
+def _number(token: str) -> int | None:
+    """The ASCII decimal integer token spells, sign optional, or None: the one
+    integer grammar steen reads.  None also for more digits than int() converts."""
     try:
-        return int(digits)
+        return int(token) if re.fullmatch(r"-?[0-9]+", token) else None
     except ValueError:
         return None
+
+
+def integer(token: str) -> int:
+    """_number for flags and STEEN_ variables, with a ValueError for its None."""
+    if (value := _number(token)) is None:
+        raise ValueError(f"bad integer {token!r}")
+    return value
 
 
 def parse_algebra(token: str, where: str) -> Algebra:
@@ -62,7 +70,7 @@ def parse_algebra(token: str, where: str) -> Algebra:
 
 
 def _integer(token: str, where: str, what: str, least: int | None = None) -> int:
-    value = _number(token) if re.fullmatch(r"-?[0-9]+", token) else None
+    value = _number(token)
     if value is None or (least is not None and value < least):
         raise ParseError(where, f"bad {what} {token!r}")
     return value

@@ -269,27 +269,20 @@ class FiniteModule:
     def validate(self) -> list[str]:
         """Check the module against its definition; empty list means valid.
 
-        Over A, a span above DEGREE_CAP is a ValueError: the algebra is only
-        enumerated up to that degree.  Over A(n), so is a base whose algebra
-        has more than BASIS_BUDGET monomials in degrees 1 to its span.  A
-        double is checked on its base, and each problem names the module's
-        own operations.
+        A base whose algebra has more than BASIS_BUDGET monomials in degrees
+        1 to its span is a ValueError.  Over A, where sq_bound(span) = span,
+        that is a base span above DEGREE_CAP, as dim A_65 >= 1.  A double is
+        checked on its base, and each problem names its own operations.
         """
         base, span = self._action.algebra, self.span >> self.doubling
-        if base.n is None and self.span > DEGREE_CAP:
+        # summed lazily, to the span or A(n)'s top class, 2^(n+1) - 1 or more
+        top = span if base.sq_bound(span) == span else min(span, base.top_degree)
+        counts = (basis_count(base, d) for d in range(1, top + 1))
+        if any(need > BASIS_BUDGET for need in accumulate(counts)):
             raise ValueError(
-                f"{self.name}: span {self.span} over A exceeds the degree cap"
-                f" DEGREE_CAP = {DEGREE_CAP}"
+                f"{self.name}: span {span} over {base.name} needs more of its basis"
+                f" than A has up to DEGREE_CAP = {DEGREE_CAP} ({BASIS_BUDGET} monomials)"
             )
-        if base.n is not None:
-            # summed lazily, up to the top class, which is 2^(n+1) - 1 or more
-            top = span if base.sq_bound(span) == span else min(span, base.top_degree)
-            counts = (basis_count(base, d) for d in range(1, top + 1))
-            if any(need > BASIS_BUDGET for need in accumulate(counts)):
-                raise ValueError(
-                    f"{self.name}: span {span} over {base.name} needs more of its basis"
-                    f" than A has up to DEGREE_CAP = {DEGREE_CAP} ({BASIS_BUDGET} monomials)"
-                )
         problems = self._validate_claims() + self._validate_associativity()
         self.validated = not problems
         return problems
@@ -407,17 +400,16 @@ def double(M: FiniteModule, k: int, name: str | None = None) -> FiniteModule:
 
 
 def restrict(M: FiniteModule, algebra: Algebra, name: str | None = None) -> FiniteModule:
-    """Restrict along a subalgebra inclusion, keeping only its generators."""
+    """M read over another algebra, keeping the generators that lie in it.
+
+    Refused unless each Sq^k, k <= span, of the algebra lies in M's.  That
+    holds for every subalgebra, and for any algebra that agrees with M's up
+    to the span, as A(n)_d = A_d for d < 2^(n+1).
+    """
     if algebra.sq_bound(M.span) > M.algebra.sq_bound(M.span):
-        raise ValueError(f"{algebra.name} is not inside {M.algebra.name}")
+        raise ValueError(f"{M.name} is not a module over {algebra.name}")
     tables = {k: t for k, t in M.generator_tables.items() if algebra.contains((k,))}
-    return FiniteModule(
-        name or f"{M.name}|{algebra.name}",
-        algebra,
-        M.gens,
-        M.degrees,
-        tables,
-    )
+    return FiniteModule(name or f"{M.name}|{algebra.name}", algebra, M.gens, M.degrees, tables)
 
 
 def tensor(M: FiniteModule, N: FiniteModule, name: str | None = None) -> FiniteModule:

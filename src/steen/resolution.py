@@ -172,14 +172,17 @@ def window_problems(s_max: int, t_max: int) -> list[str]:
 def minimal_resolution(
     algebra: Algebra, M: FiniteModule, s_max: int, t_max: int
 ) -> Resolution:
-    """Resolve M by free modules over the algebra, through stage s_max."""
+    """Resolve M by free modules over the algebra, through stage s_max.
+
+    A module over another algebra is read over this one by `restrict`: any
+    subalgebra, or one that agrees with M's up to its span.  It is then
+    validated.
+    """
     problems = window_problems(s_max, t_max)
     if problems:
         raise ValueError(problems[0])
-    if algebra.n is not None and M.algebra.n is None:
+    if algebra != M.algebra:
         M = restrict(M, algebra)
-    elif algebra.n != M.algebra.n:
-        raise ValueError(f"{M.name} is not a module over {algebra.name}")
     if not M.validated:
         problems = M.validate()
         if problems:

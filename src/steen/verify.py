@@ -48,7 +48,7 @@ from steen.resolution import (
 )
 from steen.unstable import bso3, cube_quotient, wu_action
 
-__all__ = ["BY_SLUG", "CRITERIA", "Criterion", "run_all", "run_criterion"]
+__all__ = ["CRITERIA", "Criterion", "run_all", "run_criterion"]
 
 
 class Criterion(NamedTuple):
@@ -416,5 +416,3 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion("obstruction", _obstruction_reports),
     Criterion("properties", _property_sweeps),
 )
-
-BY_SLUG: dict[str, Criterion] = {c.slug: c for c in CRITERIA}

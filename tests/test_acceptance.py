@@ -9,7 +9,9 @@ from __future__ import annotations
 from oracles import reference_associativity_triples
 from steen import verify
 from steen.milnor import _product_monomials, milnor_basis, mono_degree
-from steen.verify import BY_SLUG, CRITERIA, run_criterion
+from steen.verify import CRITERIA, run_criterion
+
+BY_SLUG = {c.slug: c for c in CRITERIA}
 
 
 def _run(slug: str) -> str:

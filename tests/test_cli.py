@@ -72,12 +72,25 @@ def test_validate_a_wide_module_over_a(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "show"])
 def test_a_module_over_a_wider_than_the_degree_cap_is_a_usage_error(tmp_path, capsys, command):
+    # classes in degrees 0, 1 and 65 make no double, so the base spans 65,
+    # and A has 5,241 monomials in degrees 1..64 and more up to 65
     path = tmp_path / "m.mod"
-    path.write_text("module m over A\ngen a 0\ngen b 100\n")
+    path.write_text("module m over A\ngen a 0\ngen b 1\ngen c 65\nsq 1 a = b\n")
     assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "steen: m: span 100 over A exceeds the degree cap DEGREE_CAP = 64\n"
+    assert captured.err == (
+        "steen: m: span 65 over A needs more of its basis than A has up to"
+        " DEGREE_CAP = 64 (5241 monomials)\n"
+    )
+
+
+def test_a_double_over_a_is_measured_by_its_base(tmp_path, capsys):
+    # classes in degrees 0 and 100 are a double with base span 100 / 4 = 25
+    path = tmp_path / "m.mod"
+    path.write_text("module m over A\ngen a 0\ngen b 100\n")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr() == ("m: ok\n", "")
 
 
 @pytest.mark.parametrize("command", ["validate", "show"])
@@ -181,6 +194,9 @@ def test_validate_parse_error(tmp_path, capsys):
          "unknown id b"),
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"x": {}}}',
          "sq entry 'x'"),
+        # a non-ASCII digit is no integer, so the key reads like any other word
+        ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"\\u0662": {}}}',
+         "sq entry '\u0662'"),
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"1": {"a": "a"}}}',
          "list of ids"),
         ('{"module": "m", "algebra": "A(1)", "gens": [["a", 0]], "sq": {"0": {"a": ["a"]}}}',
@@ -371,6 +387,28 @@ def test_a_file_with_a_non_ascii_degree_is_refused_on_its_line(tmp_path, capsys)
         assert capsys.readouterr() == ("", "steen: line 3: bad degree '٢'\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chart", "joker", "--algebra", "A(2)"],
+        ["chart", "joker(3)", "--algebra", "A"],
+        ["resolve", "joker(3)", "--algebra", "A(4)"],
+    ],
+)
+def test_an_algebra_the_module_cannot_be_read_over_is_one_line(capsys, argv):
+    assert main(argv) == 2
+    module, algebra = argv[1], argv[3]
+    assert capsys.readouterr() == ("", f"steen: {module} is not a module over {algebra}\n")
+
+
+@pytest.mark.parametrize("argv", [["joker(3)", "A(2)"], ["joker(4)", "A(3)"], ["joker(2)", "A(1)"]])
+def test_chart_restricts_to_a_smaller_subalgebra(capsys, argv):
+    module, algebra = argv
+    assert main(["chart", module, "--algebra", algebra, "--smax", "3", "--tmax", "24"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[-1].split()[:2] == ["0", "1"]
+
+
 def test_resolve_restricts_whole_algebra_modules(capsys):
     assert main(["resolve", "joker0", "--algebra", "A(1)", "--smax", "2", "--tmax", "8"]) == 0
     assert "d 0 g0_0" in capsys.readouterr().out
@@ -447,6 +485,41 @@ def test_bad_environment_integer_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("STEEN_T_MAX", "lots")
     assert main(["list"]) == 2
     assert "STEEN_T_MAX" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [" 12 ", "١٢", " ١٢ ", "1_2", "+12", "12.0", ""])
+def test_environment_integers_are_ascii_decimal(monkeypatch, capsys, raw):
+    monkeypatch.setenv("STEEN_T_MAX", raw)
+    assert main(["list"]) == 2
+    assert capsys.readouterr() == ("", f"steen: STEEN_T_MAX: expected an integer, got {raw!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["chart", "joker", "--tmax", "10", "--smax", "٢"], "--smax"),
+        (["chart", "joker", "--smax", "2", "--tmax", "1_0"], "--tmax"),
+        (["resolve", "joker", "--tmax", " 8"], "--tmax"),
+        (["double", "joker", "١"], "k"),
+        (["double", "joker", "+1"], "k"),
+        (["unstable", "bso3", "--cap", "６"], "--cap"),
+        (["obstruction", "٤"], "n"),
+    ],
+)
+def test_integer_arguments_are_ascii_decimal(capsys, argv, where):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {where}: invalid integer value: {argv[-1]!r}"
+    )
+
+
+def test_negative_integer_arguments_still_reach_the_guards(capsys):
+    assert main(["resolve", "joker", "--smax", "-1"]) == 2
+    assert capsys.readouterr().err == "steen: s_max must be between 0 and 16, got -1\n"
 
 
 @pytest.mark.parametrize("variable", ["STEEN_TMAX", "STEEN_DEGREE_CAP"])

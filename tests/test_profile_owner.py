@@ -4,6 +4,10 @@ Slot i of A(n) holds the exponents below 2^(n+2-i) (Adams and Margolis,
 1974).  Every basis, count and containment check reads that rule from
 `Algebra.exponent_bound`, so the arithmetic `<expr>.n + <int literal>` that
 spells it appears only there and in `Algebra.top_degree`.
+
+The whole algebra A is one more profile, so the code that measures a module
+against its algebra, or changes a module's algebra, never asks which A(n) it
+has: `FiniteModule.validate` and `minimal_resolution` read no `.n`.
 """
 
 from __future__ import annotations
@@ -46,3 +50,29 @@ def test_only_algebra_spells_the_profile():
             and id(node) not in owned
         ]
     assert spelled == []
+
+
+def _function(path: Path, *qualname: str) -> ast.AST:
+    node = ast.parse(path.read_text(), str(path))
+    for name in qualname:
+        node = next(
+            child
+            for child in node.body
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and child.name == name
+        )
+    return node
+
+
+def test_validate_and_resolve_read_no_n():
+    root = Path(steen.__file__).parent
+    readers = [
+        _function(root / "module.py", "FiniteModule", "validate"),
+        _function(root / "resolution.py", "minimal_resolution"),
+    ]
+    reads = [
+        f"{fn.name}:{node.lineno}"
+        for fn in readers
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "n"
+    ]
+    assert reads == []

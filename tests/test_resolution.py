@@ -23,7 +23,14 @@ from oracles import (
 from steen import resolution
 from steen.catalogue import get_module
 from steen.milnor import Element, an, full_a, generator_matrix
-from steen.module import FiniteModule, dualize, trivial_module
+from steen.module import (
+    FiniteModule,
+    double,
+    dualize,
+    find_isomorphism,
+    restrict,
+    trivial_module,
+)
 from steen.resolution import (
     dump_resolution,
     emit_chart,
@@ -78,6 +85,19 @@ def test_full_algebra_first_relation():
 def test_restriction_route():
     R = minimal_resolution(an(1), get_module("joker0"), 1, 10)
     assert R.degrees[1] == [3]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_tower_read_one_algebra_down_is_a_double_of_the_a0_joker(n):
+    # joker(n) over A(n-1) is the joker over A(0) doubled n-1 times; the
+    # resolver restricts one, and the other is built over A(n-1) directly
+    B = an(n - 1)
+    down = restrict(get_module(f"joker({n})"), B)
+    built = double(restrict(get_module("joker"), an(0)), n - 1)
+    assert built.algebra == B
+    assert find_isomorphism(down, built) is not None
+    via_resolver = ext_chart(minimal_resolution(B, get_module(f"joker({n})"), 6, 32))
+    assert via_resolver == ext_chart(minimal_resolution(B, built, 6, 32))
 
 
 def test_resource_guards():
