@@ -53,10 +53,10 @@ Word = tuple[int, ...]
 def normalize(exponents: Iterable[int]) -> Monomial:
     """Trim trailing zeros and validate non-negative exponents."""
     out = list(exponents)
+    if any(r < 0 for r in out):
+        raise ValueError(f"negative exponent in {tuple(out)}")
     while out and out[-1] == 0:
         out.pop()
-    if any(r < 0 for r in out):
-        raise ValueError(f"negative exponent in {tuple(exponents)}")
     return tuple(out)
 
 
@@ -165,13 +165,19 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
     Pruning invariant: diag[n] is the OR of the entries placed so far on
     anti-diagonal n, and those entries are pairwise digit-disjoint.  An entry
     is placed only if it shares no digit with diag[n], so a partial matrix
-    whose multinomial is already even is dropped at once, and every matrix
-    that is completed is kept with t_n = diag[n].  Rows i = 1..p are filled
-    left to right, x[i][0] takes what is left of r_i, and row 0 takes what
-    is left of each column.  A one-row r = (a,) has a single row to fill,
-    and `_one_row_product` fills it without the recursion.  Cached, since
-    general products repeat; `generator_matrix` asks for each of its pairs
-    once, so it reads `_one_row_product` directly and leaves the cache alone.
+    whose multinomial is already even is dropped at once.  Rows are filled
+    from i = p down to 1, each from j = q down to 1 like `_one_row_product`'s.
+    The loop over x[i][1] also ends row i: x[i][0], what is left of r_i, is
+    the first entry on anti-diagonal i, and rows i-1..1 meet it.  Row 1 comes
+    last, so placing x[1][j] fixes x[0][j], what column j has left: it is
+    tested at once against what rows 2..j put on anti-diagonal j, and
+    x[1][j-1] meets it through diag; x[0][1] meets x[1][0] as row 1 ends.
+    A matrix that completes row 1 is thus a term, t_n = diag[n] for n >= 2,
+    with no test left at the leaf.  A one-row r = (a,) has a single row to
+    fill, and `_one_row_product` fills it without the recursion.  Cached,
+    since general products repeat; `generator_matrix` asks for each of its
+    pairs once, so it reads `_one_row_product` directly and leaves the cache
+    alone.
     """
     if not r or not s:
         return frozenset({r if not s else s})
@@ -180,44 +186,43 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
     p, q = len(r), len(s)
     out: set[Monomial] = set()
     diag = [0] * (p + q + 1)  # running OR of anti-diagonal n = i + j
-    cols = list(s)  # cols[j - 1]: what column j leaves to the rows not yet filled
+    cols = [*s, 0]  # cols[j - 1]: what column j leaves to the rows not yet filled; no column q+1
 
     def fill(i: int, j: int, rem: int) -> None:
-        if j > q:
-            d = diag[i]  # x[i][0] = rem lies on anti-diagonal i
-            if rem & d:
-                return
-            diag[i] = d | rem
-            if i < p:
-                fill(i + 1, 1, r[i])
-            else:
-                t = diag[1:]
-                for c, v in enumerate(cols):  # x[0][j] on anti-diagonal j
-                    if v & t[c]:
-                        break
-                    t[c] |= v
-                else:
-                    while not t[-1]:
-                        t.pop()
-                    _toggle(out, tuple(t))
-            diag[i] = d
-            return
         n = i + j
-        d = diag[n]
+        e = diag[n]
         left = cols[j - 1]
+        if i == 1:  # x[0][j+1], final, is on anti-diagonal n; x[0][j] = left - v on j
+            d, closed = e | cols[j], diag[j]
+        else:
+            d, closed = e, 0
         top = rem >> j
         if top > left:
             top = left
         v = 0
         while v <= top:  # v runs over the values sharing no digit with d
-            diag[n] = d | v
-            cols[j - 1] = left - v
-            fill(i, j + 1, rem - (v << j))
+            c = left - v
+            if not c & closed:
+                diag[n] = d | v
+                cols[j - 1] = c
+                rest = rem - (v << j)
+                if j > 1:
+                    fill(i, j - 1, rest)
+                elif i > 1:  # x[i][0] = rest opens anti-diagonal i
+                    diag[i] = rest
+                    fill(i - 1, q, r[i - 2])
+                    diag[i] = 0
+                elif not rest & c:  # x[1][0] meets x[0][1] on anti-diagonal 1
+                    t = diag[1:]
+                    t[0] = rest | c
+                    while not t[-1]:
+                        t.pop()
+                    _toggle(out, tuple(t))
             v = ((v | d) + 1) & ~d
-        diag[n] = d
+        diag[n] = e
         cols[j - 1] = left
 
-    fill(1, 1, r[0])
+    fill(p, q, r[-1])
     return frozenset(out)
 
 
@@ -258,8 +263,7 @@ def milnor_product(a: Element, b: Element) -> Element:
     acc: set[Monomial] = set()
     for r in a.monomials:
         for s in b.monomials:
-            for t in _product_monomials(r, s):
-                _toggle(acc, t)
+            acc ^= _product_monomials(r, s)
     return Element.from_set(frozenset(acc))
 
 
@@ -317,6 +321,7 @@ def to_admissible(a: Element) -> tuple[Word, ...]:
     return tuple(sorted(chosen))
 
 
+@lru_cache(maxsize=None)
 def _antipode_sq(k: int) -> Element:
     """chi(Sq^k) by Milnor's closed form: the sum of the Milnor basis in degree k."""
     return Element(milnor_basis(k))
@@ -336,7 +341,10 @@ def _antipode_mono(m: Monomial) -> Element:
 
 def antipode(a: Element) -> Element:
     """The canonical anti-automorphism chi, exact in the Milnor basis."""
-    return sum((_antipode_mono(m) for m in a.monomials), ZERO)
+    acc: set[Monomial] = set()
+    for m in a.monomials:
+        acc ^= _antipode_mono(m).monomials
+    return Element.from_set(frozenset(acc))
 
 
 # -- subalgebra profiles ------------------------------------------------------

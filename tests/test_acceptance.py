@@ -6,9 +6,15 @@ module and the verify-suite subcommand report the same thirteen lines.
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from oracles import reference_associativity_triples
 from steen import verify
-from steen.milnor import _product_monomials, milnor_basis, mono_degree
+from steen.milnor import _product_monomials, milnor_basis, mono_degree, sq
 from steen.verify import CRITERIA, run_criterion
 
 BY_SLUG = {c.slug: c for c in CRITERIA}
@@ -118,6 +124,45 @@ def test_property_sweep_catches_a_non_associative_product(monkeypatch):
     ok, detail = run_criterion(BY_SLUG["properties"])
     assert not ok
     assert detail.startswith("assertion failed: "), detail
+
+
+def test_property_sweep_catches_a_wrong_antipode(monkeypatch):
+    # chi(Sq(0,1)) gains the term Sq(3), and chi stays linear: only the
+    # antipode sweeps see it, and they name a monomial of degree 3
+    chi = verify.antipode
+
+    def wrong(el):
+        return chi(el) + sq(3) if (0, 1) in el.monomials else chi(el)
+
+    monkeypatch.setattr(verify, "antipode", wrong)
+    ok, detail = run_criterion(BY_SLUG["properties"])
+    assert not ok
+    assert ast.literal_eval(detail.removeprefix("assertion failed: ")) in milnor_basis(3), detail
+
+
+def test_antipode_sweep_names_the_first_pair_that_fails(monkeypatch):
+    # the identity is an involution, but Sq(1) Sq(2) = Sq(3) while
+    # Sq(2) Sq(1) = Sq(3) + Sq(0,1), so it reverses no product
+    monkeypatch.setattr(verify, "antipode", lambda el: el)
+    assert run_criterion(BY_SLUG["properties"]) == (False, "assertion failed: ((1,), (2,))")
+
+
+def test_the_ledger_passes_nothing_under_python_O():
+    # -O strips the asserts every criterion checks with
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", "import sys; from steen.cli import main; sys.exit(main())"]
+        + ["verify-suite", "paper"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    lines = done.stdout.splitlines()
+    assert done.returncode == 1
+    assert [line.split()[:2] for line in lines[:-1]] == [["FAIL", c.slug] for c in CRITERIA]
+    assert lines[-1] == "verify-suite: FAILURES"
+    assert "not checked: Python runs with -O" in lines[0]
 
 
 def _packed(monkeypatch):

@@ -38,6 +38,7 @@ from steen.milnor import (
     milnor_primitive,
     milnor_product,
     mono_degree,
+    normalize,
     sq,
     sq_word,
     to_admissible,
@@ -150,6 +151,21 @@ def test_pruned_kernel_matches_the_whole_matrix_enumerator():
         assert kernel(r, s) == reference_product_monomials(r, s), (r, s)
 
 
+def test_pruned_kernel_matches_on_sampled_deep_pairs():
+    # r of 3 to 5 rows and |r| + |s| <= 64, where rows 2.. meet row 1's
+    # closing tests in more shapes than the exhaustive sweep's degree 24 holds
+    kernel = _product_monomials.__wrapped__
+    deep = {d: [m for m in milnor_basis(d) if 3 <= len(m) <= 5] for d in range(7, 64)}
+    rng = random.Random(31)
+    pairs = []
+    while len(pairs) < 2000:
+        a, b = rng.randint(7, 63), rng.randint(1, 57)
+        if deep[a] and a + b <= 64:
+            pairs.append((rng.choice(deep[a]), rng.choice(milnor_basis(b))))
+    for r, s in pairs:
+        assert kernel(r, s) == reference_product_monomials(r, s), (r, s)
+
+
 @pytest.mark.slow
 def test_pruned_kernel_matches_on_all_of_a4():
     kernel = _product_monomials.__wrapped__
@@ -222,6 +238,14 @@ def test_element_arithmetic_and_rendering():
         (sq(1) + sq(2)).degree
     assert sq(2, 1).degree == 5
     assert Element().degree is None
+
+
+def test_negative_exponents_are_named_as_read():
+    # the message quotes the values read, an iterator's too
+    with pytest.raises(ValueError, match=r"^negative exponent in \(1, -1\)$"):
+        normalize(r for r in (1, -1))
+    with pytest.raises(ValueError, match=r"^negative exponent in \(2, -3, 0\)$"):
+        normalize([2, -3, 0])
 
 
 def test_coproduct_counts_and_degrees():
