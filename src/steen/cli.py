@@ -22,6 +22,7 @@ from steen.resolution import (
     CHART_FORMATS,
     Resolution,
     T_MAX_LIMIT,
+    chart_stem_max,
     dump_resolution,
     emit_chart,
     ext_chart,
@@ -50,11 +51,13 @@ def _load_module(token: str) -> FiniteModule:
     raise UsageError(f"unknown module {token!r}: not a catalogue name or a file")
 
 
-def _resolution(args: argparse.Namespace, cfg: Config) -> Resolution:
+def _resolution(
+    args: argparse.Namespace, cfg: Config, stem_max: int | None = None
+) -> Resolution:
     """The minimal resolution of the module argument, over --algebra or its own."""
     M = _load_module(args.module)
     algebra = M.algebra if args.algebra is None else parse_algebra(args.algebra, "--algebra")
-    return minimal_resolution(algebra, M, cfg.s_max, cfg.t_max)
+    return minimal_resolution(algebra, M, cfg.s_max, cfg.t_max, stem_max)
 
 
 _TMAX_HELP = f"internal-degree bound (default {T_MAX_DEFAULT}, at most {T_MAX_LIMIT})"
@@ -165,7 +168,10 @@ def _cmd_resolve(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _cmd_chart(args: argparse.Namespace, cfg: Config) -> int:
-    data = emit_chart(ext_chart(_resolution(args, cfg)), cfg.format)
+    # the text grid reads no stem past the one it prints; the SVG draws the
+    # whole window, classes right of its viewBox included
+    stem_max = chart_stem_max(cfg.s_max, cfg.t_max) if cfg.format == "text" else None
+    data = emit_chart(ext_chart(_resolution(args, cfg, stem_max)), cfg.format)
     if args.out:
         target = Path(args.out)
         if not target.is_absolute():

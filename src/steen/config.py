@@ -1,10 +1,10 @@
 """Runtime configuration shared by the CLI subcommands.
 
-The default s_max sits at the resolver's guard S_MAX_LIMIT.  The default
-t_max is T_MAX_DEFAULT, below the guard T_MAX_LIMIT, so a chart drawn with
-the defaults keeps its range when the guard moves.  Environment variables
-with the STEEN_ prefix override the defaults and explicit flags override the
-environment.  Both share the `Config` field names: STEEN_S_MAX and --smax
+The defaults S_MAX_DEFAULT and T_MAX_DEFAULT are constants of their own,
+apart from the resolver's guards S_MAX_LIMIT and T_MAX_LIMIT, so a chart
+drawn with the defaults keeps its range, stems 0 to 24, when a guard moves.
+Environment variables with the STEEN_ prefix override the defaults and
+explicit flags override the environment.  Both share the `Config` field names: STEEN_S_MAX and --smax
 both land in `s_max`, so the CLI lays its flags over the environment by name.
 """
 
@@ -14,18 +14,26 @@ import os
 from typing import NamedTuple
 
 from steen.modfile import integer
-from steen.resolution import CHART_FORMATS, S_MAX_LIMIT, window_problems
+from steen.resolution import CHART_FORMATS, window_problems
 
-__all__ = ["Config", "ENV_PREFIX", "T_MAX_DEFAULT", "config_problems", "from_env"]
+__all__ = [
+    "Config",
+    "ENV_PREFIX",
+    "S_MAX_DEFAULT",
+    "T_MAX_DEFAULT",
+    "config_problems",
+    "from_env",
+]
 
 ENV_PREFIX = "STEEN_"
+S_MAX_DEFAULT = 16
 T_MAX_DEFAULT = 40
 
 
 class Config(NamedTuple):
     """Knobs for the CLI: resolution window, output plumbing."""
 
-    s_max: int = S_MAX_LIMIT
+    s_max: int = S_MAX_DEFAULT
     t_max: int = T_MAX_DEFAULT
     output_dir: str = "."
     format: str = "text"

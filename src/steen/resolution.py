@@ -37,6 +37,21 @@ Each column is the same element in the same basis as a direct product
 Sq(x) * d_s(g_a) would give, so the kernel combinations, the chosen
 generators and every rendered output are byte for byte those of the
 product-by-product construction.
+
+The stem bound.  With stem_max = D, stage s adds generators only at
+t <= s + D, and below s_max it eliminates d_s at t = s + D + 1 as well, for
+the kernel alone: those cycles are the candidates of stage s+1 at its top
+degree.  Every generator with t - s <= D is then the one the full window
+gives, bit for bit, by induction on s:
+- the columns of d_s in degree t come from the generators of C_s below t;
+  for t <= s + D + 1 their stems are at most D, so all of them are there;
+- d_s(g) has terms only on generators of C_(s-1) below the degree of g
+  (minimality), whose stems are at most D too; generators ascend in block
+  order, so the ones left out come last, after every bit a column sets;
+- so the kernel of d_s is exact through t = s + D + 1, which gives stage
+  s+1 its candidates through its top degree, and the `TopEchelon` rows, the
+  new generators and their residuals at (s+1, t) follow from the same
+  columns and candidates as in the full window.
 """
 
 from __future__ import annotations
@@ -66,6 +81,7 @@ __all__ = [
     "Resolution",
     "S_MAX_LIMIT",
     "T_MAX_LIMIT",
+    "chart_stem_max",
     "dump_resolution",
     "emit_chart",
     "ext_chart",
@@ -81,11 +97,20 @@ T_MAX_LIMIT = DEGREE_CAP
 class Resolution:
     """A minimal free resolution, stage -1 being the module itself."""
 
-    def __init__(self, algebra: Algebra, module: FiniteModule, s_max: int, t_max: int) -> None:
+    def __init__(
+        self,
+        algebra: Algebra,
+        module: FiniteModule,
+        s_max: int,
+        t_max: int,
+        stem_max: int | None = None,
+    ) -> None:
         self.algebra = algebra
         self.module = module
         self.s_max = s_max
         self.t_max = t_max
+        # generators lie at t - s <= stem_max too, unless it is None
+        self.stem_max = stem_max
         self.degrees: list[list[int]] = []
         # d_s(g_a) as a bitset: over M's basis at s = 0, else over C_(s-1) in block order
         self.values: list[list[int]] = []
@@ -170,13 +195,15 @@ def window_problems(s_max: int, t_max: int) -> list[str]:
 
 
 def minimal_resolution(
-    algebra: Algebra, M: FiniteModule, s_max: int, t_max: int
+    algebra: Algebra, M: FiniteModule, s_max: int, t_max: int, stem_max: int | None = None
 ) -> Resolution:
     """Resolve M by free modules over the algebra, through stage s_max.
 
-    A module over another algebra is read over this one by `restrict`: any
-    subalgebra, or one that agrees with M's up to its span.  It is then
-    validated.
+    With stem_max = D, stage s stops at t = min(t_max, s + D): every
+    generator with t - s <= D is the one the full window gives, and there
+    are no others.  A module over another algebra is read over this one by
+    `restrict`: any subalgebra, or one that agrees with M's up to its span.
+    It is then validated.
     """
     problems = window_problems(s_max, t_max)
     if problems:
@@ -188,7 +215,7 @@ def minimal_resolution(
         if problems:
             raise ValueError(problems[0])
 
-    res = Resolution(algebra, M, s_max, t_max)
+    res = Resolution(algebra, M, s_max, t_max, stem_max)
     # cycles[t]: the candidates at (s, t), as combos over the basis of the
     # target of d_s; at stage 0 they are the unit vectors of M
     cycles = {t: [1 << i for i in M.basis_at(t)] for t in range(M.bottom, t_max + 1)}
@@ -196,12 +223,17 @@ def minimal_resolution(
     for s in range(s_max + 1):
         values: list[int] = []
         following: dict[int, list[int]] = {}
-        for t in range(M.bottom, t_max + 1):
-            combos = cycles[t]
+        # generators up to top; below s_max, one degree more for the kernel
+        # alone, whose cycles are stage s+1's candidates at its top
+        top = t_max if stem_max is None else min(t_max, s + stem_max)
+        for t in range(M.bottom, min(t_max, top + (s < s_max)) + 1):
+            combos = cycles.get(t, [])
             if s == s_max and not combos:
                 continue
             span = TopEchelon(d.columns(t))
             following[t] = span.kernel()
+            if t > top:
+                continue
             if len(combos) == span.rank:
                 # the image lies in the span of the combos (a kernel basis,
                 # or M_t at stage 0), so it is all of it: no new generators
@@ -320,6 +352,11 @@ def ext_chart(R: Resolution) -> ExtChart:
     return ExtChart(ranks, lines, (R.s_max, R.t_max), min(0, R.module.bottom))
 
 
+def chart_stem_max(s_max: int, t_max: int) -> int:
+    """The last stem a chart of the window prints: every s <= s_max is computed there."""
+    return max(t_max - s_max, 0)
+
+
 def _cell(rank: int) -> str:
     if rank == 0:
         return "."
@@ -328,7 +365,7 @@ def _cell(rank: int) -> str:
 
 def _chart_text(C: ExtChart) -> str:
     s_max, t_max = C.range
-    stems = range(C.stem_min, max(t_max - s_max, 0) + 1)
+    stems = range(C.stem_min, chart_stem_max(s_max, t_max) + 1)
     header = "   " + "".join(f"{stem:>4}" for stem in stems)
     lines = [header]
     if C.ranks:
@@ -347,7 +384,7 @@ def _dot_xy(dot: tuple[int, int, int]) -> tuple[int, int]:
 
 def _chart_svg(C: ExtChart) -> str:
     s_max, t_max = C.range
-    stem_max = max(t_max - s_max, 0)
+    stem_max = chart_stem_max(s_max, t_max)
     x0, y0 = 20 * C.stem_min - 10, -20 * s_max - 10
     width, height = 20 * (stem_max - C.stem_min) + 30, 20 * s_max + 20
     out = [

@@ -8,13 +8,17 @@ import inspect
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from steen import cli
+from steen.catalogue import MODULE_NAMES, get_module
 from steen.cli import build_parser, main
-from steen.config import Config, config_problems, from_env
+from steen.config import S_MAX_DEFAULT, Config, config_problems, from_env
+from steen.modfile import load, parse_algebra
+from steen.resolution import chart_stem_max, emit_chart, ext_chart, minimal_resolution
 
 
 GOOD_MODULE = """\
@@ -412,6 +416,56 @@ def test_chart_restricts_to_a_smaller_subalgebra(capsys, argv):
 def test_resolve_restricts_whole_algebra_modules(capsys):
     assert main(["resolve", "joker0", "--algebra", "A(1)", "--smax", "2", "--tmax", "8"]) == 0
     assert "d 0 g0_0" in capsys.readouterr().out
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+
+# (module, --algebra, --smax, --tmax): the README tour's charts and the
+# benchmark's; None leaves the option to its default
+TOUR_AND_BENCH_CHARTS = [
+    ("joker", None, 4, 14),
+    ("joker0", "A", 6, 20),
+    ("joker(3)", "A(2)", None, None),
+    (str(BENCH_INPUTS / "sphere.mod"), "A", 16, 40),
+    ("joker(3)", None, None, None),
+    ("joker(4)", None, 3, 40),
+]
+
+
+@lru_cache(maxsize=None)
+def _full_window_chart(module, algebra, s_max, t_max):
+    M = get_module(module) if module in MODULE_NAMES else load(module)
+    over = M.algebra if algebra is None else parse_algebra(algebra, "--algebra")
+    s_max = Config().s_max if s_max is None else s_max
+    t_max = Config().t_max if t_max is None else t_max
+    return ext_chart(minimal_resolution(over, M, s_max, t_max))
+
+
+@pytest.mark.parametrize("format", ["text", "svg"])
+@pytest.mark.parametrize(
+    "chart", TOUR_AND_BENCH_CHARTS, ids=lambda c: "-".join(Path(str(v)).name for v in c)
+)
+def test_chart_prints_the_full_window_chart(chart, format, tmp_path, monkeypatch, capsysbinary):
+    """The text grid is resolved only through the stems it prints, the SVG
+    over the whole window; both give the bytes of the full window's chart."""
+    for key in [k for k in os.environ if k.startswith("STEEN_")]:
+        monkeypatch.delenv(key)
+    module, algebra, s_max, t_max = chart
+    argv = ["chart", module, "--format", format]
+    if algebra is not None:
+        argv += ["--algebra", algebra]
+    if s_max is not None:
+        argv += ["--smax", str(s_max), "--tmax", str(t_max)]
+    want = emit_chart(_full_window_chart(*chart), format)
+    assert main(argv) == 0
+    assert capsysbinary.readouterr() == (want, b"")
+    assert main(argv + ["--out", str(tmp_path / "chart")]) == 0
+    assert (tmp_path / "chart").read_bytes() == want
+
+
+def test_default_smax_is_its_own_constant():
+    assert Config().s_max == S_MAX_DEFAULT == 16
+    assert chart_stem_max(Config().s_max, Config().t_max) == 24
 
 
 def test_chart_text_to_stdout(capsys):

@@ -21,7 +21,7 @@ from oracles import (
     stage_terms,
 )
 from steen import resolution
-from steen.catalogue import get_module
+from steen.catalogue import MODULE_NAMES, get_module
 from steen.milnor import Element, an, full_a, generator_matrix
 from steen.module import (
     FiniteModule,
@@ -29,6 +29,7 @@ from steen.module import (
     dualize,
     find_isomorphism,
     restrict,
+    shift,
     trivial_module,
 )
 from steen.resolution import (
@@ -448,6 +449,67 @@ def test_echelon_add_runs_once_per_new_generator(monkeypatch):
     monkeypatch.setattr(resolution.Echelon, "add", spy)
     R = minimal_resolution(full_a(), sphere(full_a()), 6, 24)
     assert len(added) == sum(len(stage) for stage in R.degrees)
+
+
+def _assert_the_full_window_cut_at(full, stem_max):
+    """The resolution with stem_max holds the generators of full with
+    t - s <= stem_max, each with its value, and no others."""
+    R = minimal_resolution(full.algebra, full.module, full.s_max, full.t_max, stem_max)
+    assert R.stem_max == stem_max and len(R.degrees) == full.s_max + 1
+    for s, (degrees, values) in enumerate(zip(full.degrees, full.values)):
+        kept = [t for t in degrees if t - s <= stem_max]
+        assert degrees[: len(kept)] == kept
+        assert (R.degrees[s], R.values[s]) == (kept, values[: len(kept)]), s
+    assert resolution_checks(R) == []
+    if stem_max >= resolution.chart_stem_max(full.s_max, full.t_max):
+        assert emit_chart(ext_chart(R)) == emit_chart(ext_chart(full))
+
+
+# (s_max, t_max, stem_max): the chart's own bound, a cut inside it, a window
+# with t_max < s_max, a single stage, and stem 0 alone
+STEM_WINDOWS = [(8, 24, 16), (8, 24, 5), (6, 3, 0), (0, 10, 10), (4, 16, 0)]
+
+
+@pytest.mark.parametrize("name", MODULE_NAMES)
+def test_stem_bound_keeps_every_generator_below_it(name):
+    M = get_module(name)
+    for s_max, t_max, stem_max in STEM_WINDOWS:
+        full = minimal_resolution(M.algebra, M, s_max, t_max)
+        _assert_the_full_window_cut_at(full, stem_max)
+
+
+@pytest.mark.parametrize(
+    "M, windows",
+    [
+        # bottom -4; a bound below stem 0 still keeps the stems it names
+        (dualize(get_module("joker0")), [(5, 20, 15), (5, 20, 8), (5, 20, -2)]),
+        # bottom 6, above both bounds: stage s starts at t = 6 + s
+        (shift(get_module("joker"), 6), [(4, 16, 2), (4, 16, 5)]),
+    ],
+    ids=["D(joker0)", "joker[6]"],
+)
+def test_stem_bound_off_stem_zero(M, windows):
+    for s_max, t_max, stem_max in windows:
+        full = minimal_resolution(M.algebra, M, s_max, t_max)
+        _assert_the_full_window_cut_at(full, stem_max)
+
+
+def test_stem_bound_on_the_sphere_sends_fewer_columns(monkeypatch):
+    """At (16, 40) the text chart prints stems up to 24: the resolution cut
+    there is the full one's, and eliminates fewer columns."""
+    columns = []
+    init = resolution.TopEchelon.__init__
+
+    def spy(self, vecs):
+        columns.append(len(vecs))
+        init(self, vecs)
+
+    monkeypatch.setattr(resolution.TopEchelon, "__init__", spy)
+    full = minimal_resolution(full_a(), sphere(full_a()), 16, 40)
+    sent = sum(columns)
+    columns.clear()
+    _assert_the_full_window_cut_at(full, 24)
+    assert 0 < sum(columns) < sent
 
 
 def test_minimality_no_unit_entries():
