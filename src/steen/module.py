@@ -6,12 +6,14 @@ module holds one `FreeMap` over its own basis, g_i -> x_i, whose target
 matrices are those tables, so Sq(x) x_i is entry x of its block (i, |x|):
 every Milnor basis element, composite Sq^k included, acts through the one
 Sq(2^e) recurrence that the resolver also runs.  `tables` lists the
-nonzero Sq^k tables derived that way.  Composite tables handed to the
-constructor (from a module file, or from the Wu formula) are claims that
-`validate` checks against the derived ones.  `validate` checks that the
-action is multiplicative by taking each generator Sq(2^e) against each
-basis monomial b, reading Sq(2^e) b from the columns of `generator_matrix`;
-the recurrence makes that enough.
+nonzero Sq^k tables: the generator tables are read as given, since the
+recurrence expands Sq(2^e) as itself, and only the composite tables are
+derived that way.  Composite tables handed to the constructor (from a
+module file, or from the Wu formula) are claims that `validate` checks
+against the derived ones.  `validate` checks that the action is
+multiplicative by taking each generator Sq(2^e) against each basis
+monomial b, reading Sq(2^e) b from the columns of `generator_matrix`; the
+recurrence makes that enough.
 
 A module whose degrees all agree mod 2^k is a double, however it was made,
 and its `doubling` is the largest such k (0 for a module in one degree).
@@ -199,17 +201,20 @@ class FiniteModule:
 
     @cached_property
     def tables(self) -> dict[int, tuple[int, ...]]:
-        """Every nonzero Sq^k table, 1 <= k <= span, derived by the action.
+        """Every nonzero Sq^k table, 1 <= k <= span: the generator tables
+        read as given, and only the composite ones derived by the action.
 
         Sq^k lies in A(n) exactly when k < 2^(n+1).  A double's Sq^k is zero
         unless 2^doubling divides k.
         """
         step = 1 << self.doubling
         rows = {
-            k: [self._act_basis((k,), i) for i in range(self.dim)]
+            k: self._generators.get(k, self._zeros)
+            if not k & (k - 1)
+            else tuple(self._act_basis((k,), i) for i in range(self.dim))
             for k in range(step, self.algebra.sq_bound(self.span) + 1, step)
         }
-        return {k: tuple(t) for k, t in rows.items() if any(t)}
+        return {k: t for k, t in rows.items() if any(t)}
 
     @property
     def generator_tables(self) -> dict[int, tuple[int, ...]]:
@@ -217,6 +222,13 @@ class FiniteModule:
         return {k: t for k, t in self._generators.items() if any(t)}
 
     def table(self, k: int) -> tuple[int, ...]:
+        """The Sq^k table.  A generator Sq(2^e) reads its table as given:
+        the recurrence expands Sq(2^e) as itself, and a given table is zero
+        wherever the degrees forbid it (below a double's 2^doubling, past
+        the span).  Composite tables are derived, all at once, by `tables`.
+        """
+        if not k & (k - 1):
+            return self._generators.get(k, self._zeros)
         return self.tables.get(k, self._zeros)
 
     def ids_of(self, vec: int) -> list[str]:
@@ -642,9 +654,9 @@ def find_isomorphism(M: FiniteModule, N: FiniteModule) -> ModuleMap | None:
     block, and a sum is kept only when that block is invertible, so the search
     is exhaustive.  Past SEARCH_LIMIT tried sums it raises ValueError.
     """
-    basis = hom_basis(M, N)
-    if M.dims() != N.dims():
+    if M.algebra == N.algebra and M.dims() != N.dims():
         return None
+    basis = hom_basis(M, N)  # raises ValueError across algebras
     degrees = sorted(M.dims())
     blocks = [M.basis_at(d) for d in degrees]
     groups: dict[int, list[tuple[int, ...]]] = {d: [] for d in degrees}

@@ -290,11 +290,11 @@ def resolution_checks(R: Resolution) -> list[str]:
                     problems.append(f"d0 d1 g1_{a} is nonzero in {R.module.name}")
         else:
             for a, entry in enumerate(diffs):
-                acc: dict[int, Element] = {}
+                acc: dict[int, set] = {}  # target -> the monomials of the sum
                 for j, e in entry.items():
                     for j2, e2 in below[j].items():
-                        prod = milnor_product(e, e2)
-                        acc[j2] = acc.get(j2, Element()) + prod
+                        total = acc.setdefault(j2, set())
+                        total ^= milnor_product(e, e2).monomials
                 for j2, total in acc.items():
                     if total:
                         problems.append(f"d{s-1} d{s} g{s}_{a} hits g{s-2}_{j2}")

@@ -310,11 +310,14 @@ def _product_tables(cap: int) -> dict[tuple[int, int], list[list[int]]]:
     return table
 
 
-def _associativity_triples(cap: int) -> int:
+def _associativity_triples(
+    cap: int, table: dict[tuple[int, int], list[list[int]]] | None = None
+) -> int:
     """Check (xy)z = x(yz) on every triple of positive-degree monomials.
 
     The degrees of x, y and z sum to at most cap, and the products come from
-    `_product_tables`.  Returns the number of triples.
+    `table`, by default a fresh `_product_tables(cap)`.  Returns the number
+    of triples.
 
     For each x and each pair of degrees (|y|, |z|) the check runs over every
     y_j and z_k at once, on ints with a W-bit slot at (j*K + k)*W, where K
@@ -328,7 +331,8 @@ def _associativity_triples(cap: int) -> int:
     """
     basis = {d: milnor_basis(d) for d in range(1, cap + 1)}
     width = max(len(b) for b in basis.values())
-    table = _product_tables(cap)
+    if table is None:
+        table = _product_tables(cap)
     # packed[p, r][m]: the products m z over the degree-r monomials z, one slot per z
     packed = {
         key: [sum(mz << k * width for k, mz in enumerate(row)) for row in rows]
@@ -376,13 +380,15 @@ def _associativity_triples(cap: int) -> int:
 def _property_sweeps() -> str:
     """The algebra's laws and the engines' invariants, swept.
 
-    Associativity, then the antipode identities on tables from the same
-    `_product_tables`: chi in degree d is a matrix whose column i is chi of
-    the i-th basis monomial, so chi of any element is the XOR of the columns
-    at its bits.  A failure names the monomial or the pair (a, b).
+    One `_product_tables` build serves both sweeps: associativity, then the
+    antipode identities, which read its entries of degree <= 16.  chi in
+    degree d is a matrix whose column i is chi of the i-th basis monomial,
+    so chi of any element is the XOR of the columns at its bits.  A failure
+    names the monomial or the pair (a, b).
     """
     cap = 24
-    triples = _associativity_triples(cap)
+    table = _product_tables(cap)
+    triples = _associativity_triples(cap, table)
     A = full_a()
     chi: dict[int, list[int]] = {}
     for d in range(21):
@@ -393,7 +399,6 @@ def _property_sweeps() -> str:
             for c in bits(chi[d][i]):
                 back ^= chi[d][c]
             assert back == 1 << i, m
-    table = _product_tables(16)
     pairs = 0
     for da in range(1, 16):
         for db in range(1, 17 - da):

@@ -111,6 +111,20 @@ def test_property_sweeps():
     )
 
 
+def test_property_sweeps_build_their_product_tables_once(monkeypatch):
+    # the antipode sweep reads the associativity sweep's tables, degree <= 16
+    build = verify._product_tables
+    caps = []
+
+    def counted(cap):
+        caps.append(cap)
+        return build(cap)
+
+    monkeypatch.setattr(verify, "_product_tables", counted)
+    _run("properties")
+    assert caps == [24]
+
+
 def test_property_sweep_catches_a_non_associative_product(monkeypatch):
     # one wrong entry in the sweep's product source: Sq(3) Sq(1) is Sq(1,1).
     # A sweep that took its products elsewhere, for example from the Sq(2^e)

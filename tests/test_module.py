@@ -33,7 +33,7 @@ from steen.milnor import (
     mono_degree,
     sq,
 )
-from steen.modfile import parse, serialize
+from steen.modfile import load, parse, serialize
 from steen.module import (
     DOUBLING_MAX,
     FiniteModule,
@@ -54,6 +54,7 @@ from steen.resolution import minimal_resolution
 
 A1 = an(1)
 A2 = an(2)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def joker():
@@ -471,6 +472,42 @@ def test_generator_tables_derive_composites():
     assert rebuilt.validate() == []
 
 
+def _module_files():
+    return sorted(p for p in FIXTURES.iterdir() if p.suffix in (".mod", ".json"))
+
+
+def test_generator_tables_are_what_the_action_derives():
+    # table(2^e) is read as given: it must be the row the recurrence derives,
+    # for valid modules and for invalid ones alike
+    modules = [get_module(name) for name in MODULE_NAMES]
+    modules += [load(path) for path in _module_files()]
+    modules += list(_flipped(joker())) + list(_flipped(get_module("joker(2)1")))
+    for M in modules:
+        for k in (1 << e for e in range(M.span.bit_length())):
+            if M.algebra.contains((k,)):
+                derived = tuple(M._act_basis((k,), i) for i in range(M.dim))
+                assert M.table(k) == derived, (M.name, k)
+
+
+def test_generator_reads_derive_no_composite_table():
+    for path in _module_files():
+        M, N = load(path), load(path)
+        assert find_isomorphism(M, N) is not None, path.name
+        assert hom_basis(M, shift(N, 1)) == []
+        if M.span <= 16:
+            minimal_resolution(M.algebra, M, 2, M.top + 2)
+        assert "tables" not in vars(M) and "tables" not in vars(N), path.name
+        if path.suffix == ".mod":
+            # the fixtures were written with every composite line
+            assert serialize(M) == path.read_text(), path.name
+    # over A the Cartan formula for Sq^4 reads Sq^3, which is derived
+    for name in ("joker.mod", "joker0.mod"):
+        J = load(FIXTURES / name)
+        T = tensor(J, J)
+        assert T.tables == reference_tables(T), name
+        assert 3 in T.tables, name
+
+
 def test_extension_counts():
     exts = extension_enumerate(joker(), A2)
     assert len(exts) == 2
@@ -526,6 +563,22 @@ def test_find_isomorphism_rejects():
         find_isomorphism(J, double(J, 1))
     exts = extension_enumerate(joker(), A2)
     assert find_isomorphism(exts[0], exts[1]) is None
+
+
+def test_find_isomorphism_compares_dimensions_before_building_hom(monkeypatch):
+    J = joker()
+
+    def refuse(M, N):
+        raise AssertionError("Hom built for modules of different dimensions")
+
+    monkeypatch.setattr(module, "hom_basis", refuse)
+    assert find_isomorphism(J, shift(J, 1)) is None
+    assert find_isomorphism(J, question_mark()) is None
+    monkeypatch.undo()
+    # across algebras it is refused, whether or not the dimensions agree
+    for other in (restrict(J, an(0)), double(J, 1)):
+        with pytest.raises(ValueError, match="Hom across algebras"):
+            find_isomorphism(J, other)
 
 
 def test_find_isomorphism_agrees_with_the_brute_force_search():
