@@ -143,7 +143,6 @@ class Element:
         return el
 
 
-ZERO = Element()
 UNIT = Element([()])
 
 
@@ -177,7 +176,10 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
     fill, and `_one_row_product` fills it without the recursion.  Cached,
     since general products repeat; `generator_matrix` asks for each of its
     pairs once, so it reads `_one_row_product` directly and leaves the cache
-    alone.
+    alone.  `fill` calls itself through its own closure cell, a reference
+    cycle that would keep it, its cells and diag, cols and out alive until
+    the cyclic collector ran; deleting `fill` after the call clears the cell,
+    so reference counting frees them when the call returns.
     """
     if not r or not s:
         return frozenset({r if not s else s})
@@ -223,6 +225,7 @@ def _product_monomials(r: Monomial, s: Monomial) -> frozenset[Monomial]:
         cols[j - 1] = left
 
     fill(p, q, r[-1])
+    del fill  # breaks the cycle fill -> cell -> fill
     return frozenset(out)
 
 
@@ -328,22 +331,40 @@ def _antipode_sq(k: int) -> Element:
 
 
 @lru_cache(maxsize=None)
-def _antipode_mono(m: Monomial) -> Element:
-    acc = ZERO
-    for word in to_admissible(Element.from_set(frozenset({m}))):
-        # anti-homomorphism: chi(Sq^{k1}..Sq^{kl}) = chi(Sq^{kl})..chi(Sq^{k1})
-        term = UNIT
-        for k in reversed(word):
-            term *= _antipode_sq(k)
-        acc += term
-    return acc
+def _antipode_degree(d: int) -> tuple[frozenset[Monomial], ...]:
+    """chi of each Milnor monomial of degree d, in enumerate_basis order.
+
+    The degree-d plan (`_expansion_table`) writes Sq(x) = sum Sq(2^e) Sq(x')
+    with |x'| < d, and chi is an anti-homomorphism, so chi(Sq(x)) is the sum
+    of chi(Sq(x')) chi(Sq^(2^e)), chi(Sq^(2^e)) by Milnor's closed form.
+    Each product of the plan is taken once, by `milnor_product`, and added
+    to every monomial it is a term of, and the recursion ends at chi(1) = 1.
+    No admissible word is built.
+    """
+    if d == 0:
+        return (frozenset({()}),)
+    products, size = _expansion_table(full_a(), d)
+    acc: list[set[Monomial]] = [set() for _ in range(size)]
+    for e, low, targets in products:
+        chi_low = Element.from_set(_antipode_degree(d - (1 << e))[low])
+        term = milnor_product(chi_low, _antipode_sq(1 << e)).monomials
+        for i in targets:
+            acc[i] ^= term
+    return tuple(frozenset(a) for a in acc)
 
 
 def antipode(a: Element) -> Element:
-    """The canonical anti-automorphism chi, exact in the Milnor basis."""
+    """The canonical anti-automorphism chi, exact in the Milnor basis.
+
+    chi of each monomial is read from its degree's Sq(2^e) plan
+    (`_antipode_degree`); the tests check it against chi through the
+    conjugate dual generators.  A degree past DEGREE_CAP is refused by
+    `enumerate_basis`, as the plan is built.
+    """
     acc: set[Monomial] = set()
     for m in a.monomials:
-        acc ^= _antipode_mono(m).monomials
+        d = mono_degree(m)
+        acc ^= _antipode_degree(d)[basis_index(full_a(), d)[m]]
     return Element.from_set(frozenset(acc))
 
 
@@ -434,6 +455,7 @@ def _basis(algebra: Algebra, d: int) -> tuple[Monomial, ...]:
         cur[slot - 1] = 0
 
     rec(slots, d)
+    del rec  # breaks the cycle rec -> cell -> rec, as in _product_monomials
     return tuple(sorted(out))
 
 

@@ -104,7 +104,9 @@ class PolyModule(_PolyFields):
                 for tail in extend(i + 1, left - e * degrees[i])
             ]
 
-        return tuple(sorted(m for m in extend(0, d) if not self.reducible(m)))
+        found = extend(0, d)
+        del extend  # breaks the cycle extend -> cell -> extend
+        return tuple(sorted(m for m in found if not self.reducible(m)))
 
     def with_relations(self, *relations: Exponents) -> PolyModule:
         return PolyModule(self.name, self.generators, relations)

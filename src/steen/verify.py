@@ -296,17 +296,24 @@ def _product_tables(cap: int) -> dict[tuple[int, int], list[list[int]]]:
 
     Each product comes from `_product_monomials`, Milnor's matrix formula,
     not from the Sq(2^e) matrices, whose recurrence assumes associativity.
+    Its bits are ORed in from one {monomial: bit} map per degree: the terms
+    of a product are distinct, so OR is their sum.
     """
-    A = full_a()
     basis = {d: milnor_basis(d) for d in range(1, cap)}
+    bit = {d: {m: 1 << i for i, m in enumerate(milnor_basis(d))} for d in range(2, cap + 1)}
     table: dict[tuple[int, int], list[list[int]]] = {}
     for p in range(1, cap):
         for q in range(1, cap - p + 1):
-            index = basis_index(A, p + q)
-            table[p, q] = [
-                [sum(1 << index[t] for t in _product_monomials(x, y)) for y in basis[q]]
-                for x in basis[p]
-            ]
+            bit_pq = bit[p + q]
+            rows = table[p, q] = []
+            for x in basis[p]:
+                row = []
+                for y in basis[q]:
+                    xy = 0
+                    for t in _product_monomials(x, y):
+                        xy |= bit_pq[t]
+                    row.append(xy)
+                rows.append(row)
     return table
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import product as iproduct
 
@@ -24,6 +25,7 @@ from steen.milnor import (
     DEGREE_CAP,
     Element,
     FreeMap,
+    _basis,
     _expansion_table,
     _product_monomials,
     admissible_words,
@@ -43,6 +45,7 @@ from steen.milnor import (
     sq_word,
     to_admissible,
 )
+from steen.unstable import bso3
 
 # hand-checked products, frozen; keys are (R, S), values the monomial set
 FROZEN_PRODUCTS = {
@@ -201,6 +204,27 @@ def test_generator_matrices_leave_the_product_cache_empty():
     assert _product_monomials.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _product_monomials.__wrapped__((4, 2), (1, 0, 1)),
+        lambda: _basis.__wrapped__(full_a(), 20),
+        lambda: bso3().monomials(12),
+    ],
+    ids=["product-monomials", "basis", "poly-monomials"],
+)
+def test_recursive_kernels_leave_no_reference_cycles(call):
+    # a closure that calls itself holds its own cell; each kernel clears it,
+    # so reference counting alone frees what a call made
+    gc.collect()
+    gc.disable()
+    try:
+        assert call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_associativity_exhaustive_low_degrees():
     monos = [m for m in monomials_up_to(8) if m]
     for r in monos:
@@ -345,9 +369,18 @@ def test_antipode_involution():
         assert antipode(antipode(el)) == el
 
 
-def test_antipode_against_dual_oracle():
-    for m in monomials_up_to(11):
+@pytest.mark.parametrize("top", [24, pytest.param(32, marks=pytest.mark.slow)])
+def test_antipode_against_dual_oracle(top):
+    # chi comes from the Sq(2^e) plans; the oracle substitutes the conjugate
+    # generators zeta_n in the dual and shares no code with them
+    for m in monomials_up_to(top):
         assert antipode(Element([m])).monomials == oracle_antipode(m), m
+
+
+def test_antipode_refuses_a_degree_past_the_cap():
+    # chi reads the plan of its degree, and enumerate_basis refuses to build it
+    with pytest.raises(ValueError, match="^degree 65 exceeds cap 64$"):
+        antipode(sq(65))
 
 
 def test_antipode_anti_homomorphism():

@@ -9,6 +9,8 @@ joker towers and A(1) from the catalogue, so `verify.py` doubles nothing
 itself.  The columns of Sq(2^e) come from the one-row Milnor kernel
 `_one_row_product`, not through the product cache, and the digit rule that
 kernel walks is written once for one row and once for the general matrices.
+The antipode reads the Sq(2^e) plans, so only the ledger's round trips
+rewrite into admissible words.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ def test_the_ledger_doubles_nothing_itself():
 def test_sq_columns_come_from_the_one_row_kernel():
     assert ("milnor.py", "generator_matrix") in _callers("_one_row_product")
     assert ("milnor.py", "generator_matrix") not in _callers("_product_monomials")
+
+
+def test_only_the_ledger_rewrites_into_admissible_words():
+    # chi reads the Sq(2^e) plans; admissible words serve the round trips alone
+    assert _callers("to_admissible") == {("verify.py", "_property_sweeps")}
 
 
 def test_the_digit_rule_is_written_once_per_matrix_shape():
