@@ -281,6 +281,15 @@ def test_validate_an_empty_path_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "steen: no such file: \n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "svg"])
+def test_chart_to_an_empty_out_is_a_usage_error(tmp_path, capsys, fmt):
+    # '' is not "no --out": it would print to stdout or write the directory
+    argv = ["--output-dir", str(tmp_path), "chart", "joker", "--format", fmt, "--out", ""]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "steen: --out: empty file name\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dual_and_double_and_tensor(capsys):
     assert main(["dual", "joker"]) == 0
     assert "module D(joker)" in capsys.readouterr().out
@@ -325,6 +334,34 @@ def test_double_refuses_a_huge_k_in_one_line():
     )
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "steen: doubling exponent must be at most 4096\n"
+
+
+def _freeze_count_at_exit(code: str) -> int:
+    # the probe is registered first, so it runs after any hook steen registers
+    probe = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count())); "
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe + code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return int(done.stdout.splitlines()[-1])
+
+
+def test_a_command_freezes_the_collector_at_exit():
+    assert _freeze_count_at_exit("from steen.cli import main; main(['list'])") > 0
+
+
+def test_a_library_call_leaves_the_collector_alone_at_exit():
+    code = (
+        "import steen, steen.cli; from steen.catalogue import get_module; "
+        "from steen.resolution import minimal_resolution; "
+        "M = get_module('joker'); minimal_resolution(M.algebra, M, 3, 12)"
+    )
+    assert _freeze_count_at_exit(code) == 0
 
 
 def test_tensor_of_files_whose_ids_concatenate_alike(tmp_path, capsys):
